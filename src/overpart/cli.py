@@ -23,9 +23,6 @@ from .squares import ck_table
 
 _FORMATS = ("csv", "json", "table")
 
-_SUITES = ("thm-16n14", "thm-ell:L", "thm-4n:M", "dissection", "kim8",
-           "families8:L", "known-table", "combined", "all")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, "csv")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", help="one of: " + ", ".join(_SUITES))
+    p.add_argument("suite", help="one of: " + ", ".join(congruence.SUITES))
     p.add_argument("--limit", type=int, default=10_000)
     add_source(p)
     add_format(p, "json")
@@ -102,8 +99,6 @@ def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> str:
 
 
 def cmd_gen(args) -> tuple[str, int]:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     if args.mod is None:
         ring, column = EXACT, "pbar"
     else:
@@ -114,8 +109,6 @@ def cmd_gen(args) -> tuple[str, int]:
 
 
 def cmd_ck(args) -> tuple[str, int]:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     table = ck_table(args.k, args.limit)
     header = ["n"] + [f"c{k}" for k in range(1, args.k + 1)]
     rows = [[n] + [table.count(k, n) for k in range(1, args.k + 1)]
@@ -124,16 +117,11 @@ def cmd_ck(args) -> tuple[str, int]:
 
 
 def cmd_dissect(args) -> tuple[str, int]:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    if args.mod is None:
-        ring, column = EXACT, "value"
-    else:
-        ring, column = mod2_ring(_mod_bits(args.mod)), "value"
+    ring = EXACT if args.mod is None else mod2_ring(_mod_bits(args.mod))
     series = overpartitions.generating_series(args.limit, ring, args.source)
     sliced = series.dissect(args.t, args.r)
     rows = [[n, sliced[n]] for n in range(sliced.order + 1)]
-    return _emit_rows(args.format, ["n", column], rows), 0
+    return _emit_rows(args.format, ["n", "value"], rows), 0
 
 
 def _sort_key(report):
@@ -141,43 +129,6 @@ def _sort_key(report):
     if isinstance(c, congruence.CongruenceClaim):
         return (0, c.A, c.B, c.M, "")
     return (1, 0, 0, 0, c)
-
-
-def _suite_reports(suite, pbar, limit, source):
-    if suite == "thm-16n14":
-        return [congruence.verify_progression(
-            pbar, congruence.CongruenceClaim(16, 14, 16), limit, source)]
-    if suite == "dissection":
-        return [congruence.verify_dissection_mod16(limit, pbar, source)]
-    if suite == "kim8":
-        return [congruence.verify_mod8_nonsquare(pbar, limit, source)]
-    if suite == "known-table":
-        return congruence.run_known_table(pbar, limit, source)
-    if suite == "combined":
-        return congruence.verify_combined_families(pbar, 2, limit, source)
-    if suite.startswith("thm-ell:"):
-        ell = _suite_param(suite)
-        return congruence.verify_ell_family(pbar, ell, 16, limit, source)
-    if suite.startswith("thm-4n:"):
-        tier = _suite_param(suite)
-        return [congruence.verify_4n_relations(pbar, tier, limit, source)]
-    if suite.startswith("families8:"):
-        ell = _suite_param(suite)
-        return congruence.verify_mod8_families(pbar, ell, limit, source)
-    raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(_SUITES)}")
-
-
-def _suite_param(suite: str) -> int:
-    tail = suite.split(":", 1)[1]
-    try:
-        return int(tail)
-    except ValueError:
-        raise ValueError(f"suite parameter must be an integer, got {tail!r}")
-
-
-_ALL_PARTS = ("known-table", "thm-16n14", "thm-ell:7", "thm-ell:23",
-              "thm-4n:4", "thm-4n:8", "thm-4n:16", "thm-4n:32",
-              "thm-4n:64", "thm-4n:128", "dissection", "combined")
 
 
 def _report_rows(reports):
@@ -192,22 +143,10 @@ def _report_rows(reports):
 
 
 def cmd_verify(args) -> tuple[str, int]:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    suite = args.suite
-    known = suite in ("thm-16n14", "dissection", "kim8", "known-table",
-                      "combined", "all")
-    if not known and not suite.startswith(("thm-ell:", "thm-4n:", "families8:")):
-        raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(_SUITES)}")
-    needs_4x = suite == "all" or suite.startswith("thm-4n:")
-    order = 4 * args.limit if needs_4x else args.limit
+    checks = congruence.suite_checks(args.suite)
+    order = congruence.series_order(checks, args.limit)
     pbar = overpartitions.generating_series(order, None, args.source)
-    if suite == "all":
-        reports = []
-        for part in _ALL_PARTS:
-            reports += _suite_reports(part, pbar, args.limit, args.source)
-    else:
-        reports = _suite_reports(suite, pbar, args.limit, args.source)
+    reports = congruence.run_checks(checks, pbar, args.limit, args.source)
     reports.sort(key=_sort_key)
     code = 0 if all(r.ok for r in reports) else 1
     if args.format == "json":
@@ -218,8 +157,6 @@ def cmd_verify(args) -> tuple[str, int]:
 
 
 def cmd_scan(args) -> tuple[str, int]:
-    if args.limit < 0:
-        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     try:
         mods = [int(m) for m in args.mods.split(",") if m.strip()]
     except ValueError:
@@ -231,8 +168,7 @@ def cmd_scan(args) -> tuple[str, int]:
         doc = [h.as_json_dict() for h in hits]
         return json.dumps(doc, indent=2) + "\n", 0
     header = ["A", "B", "M", "checks", "label"]
-    rows = [[h.claim.A, h.claim.B, h.claim.M, h.checks,
-             "KNOWN" if h.known else "CANDIDATE"] for h in hits]
+    rows = [[h.claim.A, h.claim.B, h.claim.M, h.checks, h.label] for h in hits]
     return _emit_rows(args.format, header, rows), 0
 
 
@@ -250,6 +186,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        if args.limit < 0:
+            raise ValueError(f"--limit must be >= 0, got {args.limit}")
         out, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,11 +85,15 @@ class ScanHit:
     checks: int
     known: bool
 
+    @property
+    def label(self) -> str:
+        return "KNOWN" if self.known else "CANDIDATE"
+
     def as_json_dict(self) -> dict:
         return {
             "claim": {"A": self.claim.A, "B": self.claim.B, "M": self.claim.M},
             "checks": self.checks,
-            "label": "KNOWN" if self.known else "CANDIDATE",
+            "label": self.label,
         }
 
 
@@ -131,9 +135,7 @@ def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
                               time.perf_counter() - t0, source)
 
 
-def verify_ell_family(pbar: TruncatedSeries, ell: int, modulus: int = 16,
-                      limit: int | None = None,
-                      source: str = overpartitions.INVERSION) -> list[VerificationReport]:
+def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
     """Claims pbar(ell^2*n + r*ell) == 0 (mod modulus) for r = 1..ell-1.
 
     modulus 16 requires ell == 7 (mod 8); modulus 8 holds for every odd
@@ -147,11 +149,14 @@ def verify_ell_family(pbar: TruncatedSeries, ell: int, modulus: int = 16,
     if modulus == 16 and ell % 8 != 7:
         raise ValueError(
             f"mod-16 family needs ell == 7 (mod 8); ell={ell} is {ell % 8} (mod 8)")
-    return [
-        verify_progression(pbar, CongruenceClaim(ell * ell, r * ell, modulus),
-                           limit, source)
-        for r in range(1, ell)
-    ]
+    return [CongruenceClaim(ell * ell, r * ell, modulus) for r in range(1, ell)]
+
+
+def verify_ell_family(pbar: TruncatedSeries, ell: int, modulus: int = 16,
+                      limit: int | None = None,
+                      source: str = overpartitions.INVERSION) -> list[VerificationReport]:
+    """One report per claim of ell_family_claims(ell, modulus)."""
+    return run_checks(ell_family_claims(ell, modulus), pbar, limit, source)
 
 
 def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
@@ -162,9 +167,7 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
     (r/3ell) = -1; and ell*n + r for nonresidues r, mod 8 when
     ell == +-1 (mod 8), dropping to mod 4 when ell == +-3 (mod 8).
     """
-    if ell == 2 or not is_prime(ell):
-        raise ValueError(f"need an odd prime, got ell={ell}")
-    claims = [CongruenceClaim(ell * ell, r * ell, 8) for r in range(1, ell)]
+    claims = ell_family_claims(ell, 8)
     claims += [
         CongruenceClaim(2 * ell, r, 8)
         for r in range(1, 2 * ell, 2) if jacobi(r, ell) == -1
@@ -185,7 +188,7 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
 def verify_mod8_families(pbar: TruncatedSeries, ell: int,
                          limit: int | None = None,
                          source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    return [verify_progression(pbar, c, limit, source) for c in mod8_family_claims(ell)]
+    return run_checks(mod8_family_claims(ell), pbar, limit, source)
 
 
 def verify_mod8_nonsquare(pbar: TruncatedSeries, limit: int | None = None,
@@ -207,25 +210,24 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries, limit: int | None = None,
                               time.perf_counter() - t0, source)
 
 
-# tier -> (uses (-1)^n sign, filter on n)
+# tier -> (uses (-1)^n sign, the n the relation holds for)
 _4N_TIERS = {
-    4: (False, None),
-    8: (True, None),
-    16: (True, None),
-    32: (True, "not-odd-square"),
-    64: (True, "mod8-not-125"),
-    128: (True, "mod4-zero"),
+    4: (False, lambda n: True),
+    8: (True, lambda n: True),
+    16: (True, lambda n: True),
+    32: (True, lambda n: not square_predicates(n).is_odd_square),
+    64: (True, lambda n: n % 8 not in (1, 2, 5)),
+    128: (True, lambda n: n % 4 == 0),
 }
 
+_4N_PREFIX = "4n-vs-n-mod"
 
-def _tier_keeps(tier_filter: str | None, n: int) -> bool:
-    if tier_filter is None:
-        return True
-    if tier_filter == "not-odd-square":
-        return not square_predicates(n).is_odd_square
-    if tier_filter == "mod8-not-125":
-        return n % 8 not in (1, 2, 5)
-    return n % 4 == 0
+
+def _4n_check(modulus: int) -> str:
+    """The identity id of one pbar(4n) tier; rejects moduli with no tier."""
+    if modulus not in _4N_TIERS:
+        raise ValueError(f"no tier mod {modulus}; tiers: {sorted(_4N_TIERS)}")
+    return f"{_4N_PREFIX}{modulus}"
 
 
 def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
@@ -237,8 +239,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     (n not an odd square), mod 64 (n != 1, 2, 5 mod 8), mod 128
     (n == 0 mod 4).  Needs the series out to 4*limit.
     """
-    if modulus not in _4N_TIERS:
-        raise ValueError(f"no tier mod {modulus}; tiers: {sorted(_4N_TIERS)}")
+    subject = _4n_check(modulus)
     t0 = time.perf_counter()
     if limit is None:
         limit = pbar.order // 4
@@ -246,18 +247,16 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
         raise ValueError(
             f"tier needs coefficients to 4*{limit}, series stops at {pbar.order}")
     _require_capacity(pbar, modulus)
-    signed, tier_filter = _4N_TIERS[modulus]
+    signed, keeps = _4N_TIERS[modulus]
     co = pbar.coeffs
     status, witness = VERIFIED, None
-    for n in range(limit + 1):
-        if not _tier_keeps(tier_filter, n):
-            continue
+    for n in filter(keeps, range(limit + 1)):
         expect = -co[n] if signed and n & 1 else co[n]
         r = (co[4 * n] - expect) % modulus
         if r:
             status, witness = COUNTEREXAMPLE, (n, r)
             break
-    return VerificationReport(f"4n-vs-n-mod{modulus}", status, limit, witness,
+    return VerificationReport(subject, status, limit, witness,
                               time.perf_counter() - t0, source)
 
 
@@ -359,8 +358,7 @@ def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
 def verify_combined_families(pbar: TruncatedSeries, kmax: int = 2,
                              limit: int | None = None,
                              source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    return [verify_progression(pbar, c, limit, source)
-            for c in combined_family_claims(kmax)]
+    return run_checks(combined_family_claims(kmax), pbar, limit, source)
 
 
 # fixed single-progression congruences used as a regression anchor:
@@ -380,7 +378,71 @@ REGRESSION_CLAIMS = (
     CongruenceClaim(72, 69, 32),
 )
 
-_FAMILY_PRIMES = (3, 5, 7, 11, 13)
+
+def _concat(*suites: str) -> list:
+    return [check for suite in suites for check in suite_checks(suite)]
+
+
+# The suites of `overpart verify`: name -> the checks it runs.  A check is
+# a CongruenceClaim or the id of an identity check, the same value its
+# report carries as subject.  A name ending in ":X" takes an integer
+# parameter.  Rows hold checks, not verifier functions: run_checks looks
+# each verifier up by its module-level name when it runs, so a wrapper
+# installed on the module sees every call.
+SUITES = {
+    "thm-16n14": lambda: [CongruenceClaim(16, 14, 16)],
+    "thm-ell:L": lambda ell: ell_family_claims(ell, 16),
+    "thm-4n:M": lambda modulus: [_4n_check(modulus)],
+    "dissection": lambda: ["dissection-mod16"],
+    "kim8": lambda: ["mod8-nonsquare"],
+    "families8:L": mod8_family_claims,
+    "known-table": lambda: [*REGRESSION_CLAIMS, *_concat(
+        "kim8", *(f"families8:{ell}" for ell in (3, 5, 7, 11, 13)))],
+    "combined": lambda: combined_family_claims(2),
+    "all": lambda: _concat(
+        "known-table", "thm-16n14", "thm-ell:7", "thm-ell:23",
+        *(f"thm-4n:{m}" for m in _4N_TIERS), "dissection", "combined"),
+}
+
+
+def suite_checks(suite: str) -> list:
+    """The checks a named suite runs, e.g. "thm-ell:7" or "all"."""
+    head, colon, tail = suite.partition(":")
+    for name, build in SUITES.items():
+        if name.partition(":")[:2] != (head, colon):
+            continue
+        if not colon:
+            return build()
+        try:
+            param = int(tail)
+        except ValueError:
+            raise ValueError(f"suite parameter must be an integer, got {tail!r}")
+        return build(param)
+    raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(SUITES)}")
+
+
+def series_order(checks, limit: int) -> int:
+    """The order a series needs to run checks over the window [0, limit]:
+    a pbar(4n) tier reads coefficients out to 4*limit."""
+    if any(isinstance(c, str) and c.startswith(_4N_PREFIX) for c in checks):
+        return 4 * limit
+    return limit
+
+
+def run_checks(checks, pbar: TruncatedSeries, limit: int | None = None,
+               source: str = overpartitions.INVERSION) -> list[VerificationReport]:
+    """One report per check, in order."""
+    return [_run_check(c, pbar, limit, source) for c in checks]
+
+
+def _run_check(check, pbar, limit, source) -> VerificationReport:
+    if isinstance(check, CongruenceClaim):
+        return verify_progression(pbar, check, limit, source)
+    if check == "mod8-nonsquare":
+        return verify_mod8_nonsquare(pbar, limit, source)
+    if check == "dissection-mod16":
+        return verify_dissection_mod16(limit, pbar, source)
+    return verify_4n_relations(pbar, int(check[len(_4N_PREFIX):]), limit, source)
 
 
 def run_known_table(pbar: TruncatedSeries, limit: int | None = None,
@@ -388,22 +450,12 @@ def run_known_table(pbar: TruncatedSeries, limit: int | None = None,
     """Everything with a fixed published form: the regression claims, the
     mod-8 statement away from squares, and the mod-8 families at small
     primes."""
-    reports = [verify_progression(pbar, c, limit, source) for c in REGRESSION_CLAIMS]
-    reports.append(verify_mod8_nonsquare(pbar, limit, source))
-    for ell in _FAMILY_PRIMES:
-        reports += verify_mod8_families(pbar, ell, limit, source)
-    return reports
+    return run_checks(suite_checks("known-table"), pbar, limit, source)
 
 
 def known_claims() -> frozenset:
-    """Every (A, B, M) the built-in suites assert, for flagging scan hits."""
-    claims = set(REGRESSION_CLAIMS)
-    claims.update(combined_family_claims(2))
-    for ell in _FAMILY_PRIMES:
-        claims.update(mod8_family_claims(ell))
-    for ell in (7, 23):
-        claims.update(CongruenceClaim(ell * ell, r * ell, 16) for r in range(1, ell))
-    return frozenset(claims)
+    """Every (A, B, M) that `verify all` checks, for flagging scan hits."""
+    return frozenset(c for c in suite_checks("all") if isinstance(c, CongruenceClaim))
 
 
 def scan_congruences(pbar: TruncatedSeries, amax: int, mods,

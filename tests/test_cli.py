@@ -5,6 +5,7 @@ output for identical invocations, exit 0 / 1 / 2 for success /
 counterexample / usage error.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -123,6 +124,10 @@ def test_dissect_validation(capsys):
     code, _, _ = run_cli(capsys, "dissect", "--t", "16", "--r", "11",
                          "--limit", "10")
     assert code == 2  # residue past the truncation order
+    code, out, err = run_cli(capsys, "dissect", "--t", "4", "--r", "1",
+                             "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "--limit must be >= 0" in err
 
 
 # -- verify -------------------------------------------------------------------
@@ -145,6 +150,39 @@ def test_verify_suite_parameter_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "thm-4n:5", "--limit", "100")
     assert code == 2
+    for suite in ("thm-16n14:3", "thm-ell", "thm-ell:", "all:1"):
+        code, out, err = run_cli(capsys, "verify", suite, "--limit", "100")
+        assert code == 2 and out == "" and "error:" in err, suite
+    code, out, err = run_cli(capsys, "verify", "all", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "--limit must be >= 0" in err
+
+
+# sha256 and report count of `verify SUITE --limit 600` stdout, pinned so
+# that any change to a suite's checks, report order or format fails here
+PINNED_SUITES = [
+    ("thm-16n14", 1, "b5152902abc8d270b95ac0ddb55284d5582d631e9e0fc5bfe7a8fa2536625209"),
+    ("thm-ell:7", 6, "a55f4038dcdbdf3ef5f1b9ed67d8627ddf312e9f7b1fa6308143af9ee8444640"),
+    ("thm-ell:23", 22, "5eea11f3615d117a7475fbe9ba313379f391641e2a5cb03e6a99066205425fc3"),
+    ("thm-4n:4", 1, "415d20df59fd494cd8a812def46dfdaeb3ab735e4bddbdead1ce01f4f0e38be1"),
+    ("thm-4n:128", 1, "6c821fa6695a747d5042531709e4850721c5bb91ae58dbac01a9aaa937725833"),
+    ("dissection", 1, "67c3607970f98d7c55a15933f40c8155bb3e0dc6efc68c34a0edbcd343267424"),
+    ("kim8", 1, "b6b5cd59a7e17c182e7952c133872006da63d089a23ddb4467e207b5389c17c8"),
+    ("families8:3", 4, "a82eeb0226d666493faa1acebb2849a42e9a070b038d25e429d54f6936cd3a22"),
+    ("families8:13", 36, "52451007b312bd0700af596eb9a7289c13e689ef35296781151986a0535c1f18"),
+    ("known-table", 107, "993b5be4179c79dfa8d7f6588f99bbf0ed49ea90f228b2c05c01245e5b702c31"),
+    ("combined", 9, "27b8e54bf137a40a70ef2ad981af07183d22ee85a92b2be9441dba6dd4df3787"),
+    ("all", 152, "4b5675c6df1a82f291c3babb8a4e2ee19091beeab01db8c1dc4b1f6f7e0720b5"),
+]
+
+
+@pytest.mark.parametrize("suite,count,digest", PINNED_SUITES,
+                         ids=[s for s, _, _ in PINNED_SUITES])
+def test_verify_suite_output_pinned(capsys, suite, count, digest):
+    code, out, _ = run_cli(capsys, "verify", suite, "--limit", "600")
+    assert code == 0
+    assert len(json.loads(out)) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_counterexample_exits_one(capsys):
@@ -223,6 +261,9 @@ def test_scan_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "scan", "--amax", "0", "--limit", "500")
     assert code == 2
+    code, out, err = run_cli(capsys, "scan", "--limit", "-1")
+    assert code == 2 and out == ""
+    assert "--limit must be >= 0" in err
 
 
 # -- entry points -------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Claim validation, the verifiers, the dissection, and the scanner."""
 
+import json
+
 import pytest
 
 from overpart import (CongruenceClaim, EXACT, TruncatedSeries, mod2_ring,
@@ -13,6 +15,7 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  verify_dissection_mod16, verify_ell_family,
                                  verify_mod8_families, verify_mod8_nonsquare,
                                  verify_progression)
+from overpart.cli import main
 from overpart.overpartitions import by_inversion
 
 
@@ -304,6 +307,15 @@ def test_known_claims_registry():
     assert CongruenceClaim(3, 2, 4) in known
     assert CongruenceClaim(7, 3, 8) in known
     assert CongruenceClaim(2, 1, 8) not in known
+
+
+def test_known_claims_are_what_verify_all_checks(capsys):
+    assert main(["verify", "all", "--limit", "200"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    checked = {CongruenceClaim(**r["claim"]) for r in doc
+               if isinstance(r["claim"], dict)}
+    assert len(checked) == 140
+    assert known_claims() == checked
 
 
 # -- the scanner --------------------------------------------------------------------
