@@ -12,9 +12,10 @@ Constructions:
   by_inversion  1 / phi(-q)
   two_adic      1 + sum_{k=1..K} 2^k sum_n (-1)^(n+k) c_k(n) q^n
 
-The first two agree exactly at every order.  The truncated 2-adic sum at
-depth K agrees with pbar only modulo 2^(K+1); that is its contract, and
-the tests exercise exactly that.
+The first two are sparse divisions, by the pentagonal (q; q)_inf and by
+the square-sparse phi(-q), and agree exactly at every order.  The
+truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
+that is its contract, and the tests exercise exactly that.
 
 count_by_enumeration recounts pbar(n) from the definition, touching no
 series code, and anchors everything else.
@@ -32,8 +33,9 @@ TWO_ADIC = "2adic"
 
 
 def by_product(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """(-q; q)_inf times the inverse of (q; q)_inf."""
-    return theta.pochhammer_negqq(order, ring) * theta.pochhammer_qq(order, ring).invert()
+    """(-q; q)_inf / (q; q)_inf: two sparse divisions by the pentagonal
+    (q; q)_inf, since (-q; q)_inf is itself (q^2; q^2)_inf / (q; q)_inf."""
+    return theta.pochhammer_negqq(order, ring) / theta.pochhammer_qq(order, ring)
 
 
 def by_inversion(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:

@@ -5,7 +5,9 @@ Reading past the truncation order is a hard error, never a silent zero:
 every coefficient an operation reports is one it actually knows.
 
 Binary operations require the two operands to share a ring and truncate
-the result to the shorter operand's order.  All series are immutable.
+the result to the shorter operand's order.  Division a / d is the one
+recurrence in the package: each quotient coefficient costs one
+multiply-add per nonzero term of d, and inversion is 1 / d.  All series are immutable.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class TruncatedSeries:
     __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: CoeffRing, coeffs: Iterable[int]):
-        coeffs = tuple(map(ring.normalize, coeffs))
+        # the one place coefficients are reduced into the ring
+        m = ring.mask
+        coeffs = tuple(coeffs) if m is None else tuple(c & m for c in coeffs)
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
         object.__setattr__(self, "ring", ring)
@@ -197,26 +201,22 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._common(other)
-        norm = self.ring.normalize
         return TruncatedSeries(
-            self.ring, [norm(x + y) for x, y in zip(self._coeffs, other._coeffs)])
+            self.ring, [x + y for x, y in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._common(other)
-        norm = self.ring.normalize
         return TruncatedSeries(
-            self.ring, [norm(x - y) for x, y in zip(self._coeffs, other._coeffs)])
+            self.ring, [x - y for x, y in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self):
-        norm = self.ring.normalize
-        return TruncatedSeries(self.ring, [norm(-x) for x in self._coeffs])
+        return TruncatedSeries(self.ring, [-x for x in self._coeffs])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            norm = self.ring.normalize
-            return TruncatedSeries(self.ring, [norm(other * x) for x in self._coeffs])
+            return TruncatedSeries(self.ring, [other * x for x in self._coeffs])
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         outlen = self._common(other) + 1
@@ -238,29 +238,34 @@ class TruncatedSeries:
                 base = base * base
         return result
 
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse to the same order.
+    def __truediv__(self, other):
+        """Quotient self / other, truncated to the shorter order.
 
-        Linear recurrence b(n) = -a(0)^-1 * sum_{i>=1} a(i) b(n-i); the sum
-        skips zero coefficients of a, which is what makes inverting sparse
-        series (theta functions, Pochhammer products) cheap.  The constant
-        term must be a unit: +-1 exactly, or odd mod 2**m.
+        Linear recurrence c(n) = d(0)^-1 * (a(n) - sum_{i>=1} d(i) c(n-i))
+        for a / d; the sum skips zero coefficients of d, which is what makes
+        dividing by sparse series (theta functions, the pentagonal (q; q)_inf)
+        cheap.  d(0) must be a unit: +-1 exactly, or odd mod 2**m.
         """
-        a = self._coeffs
-        ring = self.ring
-        inv0 = ring.invert_unit(a[0])
-        support = [i for i in range(1, len(a)) if a[i]]
-        b = [0] * len(a)
-        b[0] = inv0
-        norm = ring.normalize
-        for n in range(1, len(a)):
-            s = 0
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        order = self._common(other)
+        d = other._coeffs
+        inv0 = self.ring.invert_unit(d[0])
+        m = -1 if self.ring.is_exact else self.ring.mask  # x & -1 == x
+        support = [i for i in range(1, order + 1) if d[i]]
+        c = list(self._coeffs[:order + 1])
+        for n in range(order + 1):
+            s = c[n]
             for i in support:
                 if i > n:
                     break
-                s += a[i] * b[n - i]
-            b[n] = norm(-inv0 * s)
-        return TruncatedSeries(ring, b)
+                s -= d[i] * c[n - i]
+            c[n] = inv0 * s & m
+        return TruncatedSeries(self.ring, c)
+
+    def invert(self) -> "TruncatedSeries":
+        """Multiplicative inverse to the same order: one / self."""
+        return TruncatedSeries.one(self.ring, self.order) / self
 
     # -- reindexing ----------------------------------------------------
 

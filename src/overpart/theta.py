@@ -5,14 +5,17 @@ suite pin them):
 
     phi(q)  = sum_{n in Z} q^(n^2)           coefficient 2 at positive squares
     psi(q)  = sum_{n >= 0} q^(n(n+1)/2)      triangular exponents, n >= 0 only
+            = sum_{n in Z} q^(n(2n-1))       the same series, written bilaterally
     psi1(q) = sum_{n in Z} q^(4n^2 + n)
     psi2(q) = sum_{n in Z} q^(4n^2 - 3n)
 
-    (q; q)_inf  = prod_{n >= 1} (1 - q^n)
-    (-q; q)_inf = prod_{n >= 1} (1 + q^n)
+    (q; q)_inf  = prod_{n >= 1} (1 - q^n) = sum_{n in Z} (-1)^n q^(n(3n-1)/2)
+    (-q; q)_inf = prod_{n >= 1} (1 + q^n) = (q^2; q^2)_inf / (q; q)_inf
 
-Support is found by walking n outward until the exponent passes the
-truncation order, not by a closed-form membership test.
+Every theta series and (q; q)_inf (Euler's pentagonal theorem) is one
+bilateral sum, with O(sqrt(order)) nonzero terms; (-q; q)_inf is one sparse
+division.  Support is found by walking n outward until the exponent passes
+the truncation order, not by a closed-form membership test.
 """
 
 from __future__ import annotations
@@ -20,53 +23,38 @@ from __future__ import annotations
 from .series import EXACT, CoeffRing, TruncatedSeries
 
 
-def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """phi(q) = 1 + 2q + 2q^4 + 2q^9 + ..."""
-    c = [0] * (order + 1)
-    c[0] = 1
-    k = 1
-    while k * k <= order:
-        c[k * k] = 2
-        k += 1
-    return TruncatedSeries(ring, c)
-
-
-def phi_neg(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """phi(-q): the sign at q^(k^2) is (-1)^k."""
-    c = [0] * (order + 1)
-    c[0] = 1
-    k = 1
-    while k * k <= order:
-        c[k * k] = -2 if k & 1 else 2
-        k += 1
-    return TruncatedSeries(ring, c)
-
-
-def psi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """psi(q) = 1 + q + q^3 + q^6 + ... (triangular numbers)."""
-    c = [0] * (order + 1)
-    k = 0
-    while k * (k + 1) // 2 <= order:
-        c[k * (k + 1) // 2] = 1
-        k += 1
-    return TruncatedSeries(ring, c)
-
-
-def _bilateral(order, ring, up, down):
-    # exponents up(k) for n = k >= 0 and down(k) for n = -k, k >= 1
+def _bilateral(order, ring, up, down, signed=False):
+    # sum over n in Z of (-1)^n if signed, at exponent up(k) for n = k >= 0
+    # and down(k) for n = -k, k >= 1
     c = [0] * (order + 1)
     k = 0
     while True:
+        term = -1 if signed and k & 1 else 1
         hi = up(k)
         lo = down(k) if k else hi
         if hi <= order:
-            c[hi] += 1
+            c[hi] += term
         if k and lo <= order:
-            c[lo] += 1
+            c[lo] += term
         if hi > order and lo > order:
             break
         k += 1
     return TruncatedSeries(ring, c)
+
+
+def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
+    """phi(q) = 1 + 2q + 2q^4 + 2q^9 + ..."""
+    return _bilateral(order, ring, lambda k: k * k, lambda k: k * k)
+
+
+def phi_neg(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
+    """phi(-q): the sign at q^(k^2) is (-1)^k."""
+    return _bilateral(order, ring, lambda k: k * k, lambda k: k * k, signed=True)
+
+
+def psi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
+    """psi(q) = 1 + q + q^3 + q^6 + ... (triangular numbers)."""
+    return _bilateral(order, ring, lambda k: k * (2 * k - 1), lambda k: k * (2 * k + 1))
 
 
 def psi1(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
@@ -79,51 +67,13 @@ def psi2(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     return _bilateral(order, ring, lambda k: 4 * k * k - 3 * k, lambda k: 4 * k * k + 3 * k)
 
 
-def _product(order, ring, sign):
-    # prod_{n=1}^{order} (1 + sign*q^n), one truncated pass per factor;
-    # factors beyond q^order cannot touch the retained coefficients
-    c = [1] + [0] * order
-    if ring.is_exact:
-        for n in range(1, order + 1):
-            if sign > 0:
-                c[n:] = [x + y for x, y in zip(c[n:], c)]
-            else:
-                c[n:] = [x - y for x, y in zip(c[n:], c)]
-    else:
-        m = ring.mask
-        for n in range(1, order + 1):
-            if sign > 0:
-                c[n:] = [(x + y) & m for x, y in zip(c[n:], c)]
-            else:
-                c[n:] = [(x - y) & m for x, y in zip(c[n:], c)]
-    return TruncatedSeries(ring, c)
-
-
 def pochhammer_qq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """(q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ..."""
-    return _product(order, ring, -1)
+    """(q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ... (pentagonal exponents)."""
+    return _bilateral(order, ring, lambda k: k * (3 * k - 1) // 2,
+                      lambda k: k * (3 * k + 1) // 2, signed=True)
 
 
 def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """(-q; q)_inf, the generating function for partitions into distinct parts."""
-    return _product(order, ring, +1)
-
-
-# one generator per name; the CLI and tests look series up by tag
-GENERATORS = {
-    "phi": phi,
-    "phi_neg": phi_neg,
-    "psi": psi,
-    "psi1": psi1,
-    "psi2": psi2,
-    "pochhammer_qq": pochhammer_qq,
-    "pochhammer_negqq": pochhammer_negqq,
-}
-
-
-def theta_series(kind: str, order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    try:
-        gen = GENERATORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown theta kind {kind!r}; known: {sorted(GENERATORS)}")
-    return gen(order, ring)
+    qq = pochhammer_qq(order, ring)
+    return qq.substitute_power(2) / qq

@@ -44,6 +44,23 @@ def schoolbook_invert(a, mask=None):
     return out
 
 
+def euler_product(n_max, sign, mask=None):
+    """prod_{k=1}^{n_max} (1 + sign*q^k) to q^n_max, one factor at a time.
+
+    sign -1 gives (q; q)_inf, sign +1 gives (-q; q)_inf.  The dense
+    quadratic expansion of the defining product, with no theta series or
+    division involved.
+    """
+    c = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        # times (1 + sign*q^k), top coefficient first so c[n-k] is still old
+        for n in range(n_max, k - 1, -1):
+            c[n] += sign * c[n - k]
+        if mask is not None:
+            c = [v & mask for v in c]
+    return c
+
+
 def pbar_by_recurrence(n_max):
     """Overpartition counts from scratch: expand the defining product.
 

@@ -185,6 +185,20 @@ def test_verify_suite_output_pinned(capsys, suite, count, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_verify_product_source_matches_invert(capsys):
+    # the two exact constructions give the same reports; only the source
+    # field names which one was used
+    reports = {}
+    for source in ("invert", "product"):
+        code, out, _ = run_cli(capsys, "verify", "all", "--limit", "600",
+                               "--source", source)
+        assert code == 0
+        reports[source] = json.loads(out)
+        assert all(r.pop("source") == source for r in reports[source])
+    assert len(reports["product"]) == 152
+    assert reports["product"] == reports["invert"]
+
+
 def test_verify_counterexample_exits_one(capsys):
     # a depth-1 series carries pbar only mod 4, so the mod-16 dissection
     # comparison must report a counterexample and exit 1

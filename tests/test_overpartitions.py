@@ -35,10 +35,12 @@ def test_recurrence_oracle_agrees():
     assert by_inversion(400).coeffs == tuple(pbar_by_recurrence(400))
 
 
-def test_product_equals_inversion():
+def test_product_equals_inversion(pbar_mod32_20k):
     assert by_product(300) == by_inversion(300)
     ring = mod2_ring(16)
     assert by_product(300, ring) == by_inversion(300, ring)
+    # and at the order the congruence suites use
+    assert by_product(20000, mod2_ring(32)) == pbar_mod32_20k
 
 
 def test_parity(pbar_mod32_20k):

@@ -1,6 +1,6 @@
 """Coefficient rings and truncated-series arithmetic.
 
-The packed-integer convolution and the inversion recurrence are checked
+The packed-integer convolution and the division recurrence are checked
 against the schoolbook implementations in oracles.py on seeded random
 inputs, exact and modular.
 """
@@ -132,12 +132,16 @@ def test_binary_ops_require_matching_ring():
         a - b
     with pytest.raises(ValueError):
         a * b
+    with pytest.raises(ValueError):
+        a / b
 
 
 def test_binary_ops_reject_foreign_types():
     a = TruncatedSeries(EXACT, [1, 2])
     with pytest.raises(TypeError):
         a + 3
+    with pytest.raises(TypeError):
+        a / 3
 
 
 def test_scalar_multiplication():
@@ -154,6 +158,9 @@ def test_result_truncates_to_shorter_operand():
     assert (a + b).order == 1
     assert (a * b).order == 1
     assert (a * b).coeffs == (1, 2)
+    assert (a / b).order == 1
+    assert (b / a).order == 1
+    assert (a / b).coeffs == (1, 0)
 
 
 def test_addition_and_subtraction():
@@ -224,7 +231,7 @@ def test_power_matches_repeated_product():
         a ** 1.5
 
 
-# -- inversion ------------------------------------------------------------
+# -- inversion and division ---------------------------------------------
 
 def test_invert_geometric():
     s = TruncatedSeries(EXACT, [1, -1, 0, 0, 0, 0])
@@ -256,11 +263,37 @@ def test_invert_matches_schoolbook():
         list(m.coeffs), (1 << 32) - 1)
 
 
+def sparse_unit_series(rng, ring, order):
+    # a unit constant term and a handful of nonzero terms, like the theta
+    # and Pochhammer denominators the package divides by
+    c = [0] * (order + 1)
+    c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 32, 2)
+    for i in rng.sample(range(1, order + 1), min(order, 6)):
+        c[i] = rng.randint(-5, 5)
+    return TruncatedSeries(ring, c)
+
+
+@pytest.mark.parametrize("ring,seed", [(EXACT, 34), (M32, 35)], ids=["Z", "Z/2^32"])
+def test_division_matches_schoolbook(ring, seed):
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randrange(0, 40)
+        a = rand_series(rng, ring, n, lo=-10**6, hi=10**6)
+        d = sparse_unit_series(rng, ring, n)
+        inv = schoolbook_invert(list(d.coeffs), ring.mask)
+        assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
+        assert (a / d) * d == a
+
+
 def test_invert_requires_unit_constant():
     with pytest.raises(ValueError):
         TruncatedSeries(EXACT, [2, 1]).invert()
     with pytest.raises(ValueError):
         TruncatedSeries(M32, [6, 1]).invert()
+    with pytest.raises(ValueError):
+        TruncatedSeries(EXACT, [1, 1]) / TruncatedSeries(EXACT, [2, 1])
+    with pytest.raises(ValueError):
+        TruncatedSeries(M32, [1, 1]) / TruncatedSeries(M32, [6, 1])
 
 
 # -- reindexing -----------------------------------------------------------
@@ -366,6 +399,7 @@ def test_modular_ops_match_exact_reduction():
             (ea * eb, ma * mb),
             (ea ** 3, ma ** 3),
             (ea.invert(), ma.invert()),
+            (eb / ea, mb / ma),
             (ea.shift(2), ma.shift(2)),
             (ea.substitute_power(2), ma.substitute_power(2)),
             (ea.dissect(2, 1), ma.dissect(2, 1)),

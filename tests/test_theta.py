@@ -5,13 +5,17 @@ The five identities proved here at order 400 are re-verified at order
 definitional checks the identities rest on.
 """
 
-import pytest
-
 from overpart import mod2_ring
-from overpart.theta import (GENERATORS, phi, phi_neg, pochhammer_negqq,
-                            pochhammer_qq, psi, psi1, psi2, theta_series)
+from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
+                            psi, psi1, psi2)
+
+from oracles import euler_product
 
 N = 400
+# the Pochhammer generators are checked against the dense product expansion
+# in oracles.py at this order, exactly and mod 2^8
+ORACLE_ORDER = 600
+M8 = mod2_ring(8)
 
 
 def sub(series, t):
@@ -64,22 +68,33 @@ def test_psi2_support():
 
 def test_pochhammer_qq_prefix():
     assert pochhammer_qq(5).coeffs == (1, -1, -1, 0, 0, 1)
+    assert list(pochhammer_qq(ORACLE_ORDER).coeffs) == euler_product(ORACLE_ORDER, -1)
+    assert list(pochhammer_qq(ORACLE_ORDER, M8).coeffs) == euler_product(
+        ORACLE_ORDER, -1, M8.mask)
 
 
 def test_pochhammer_negqq_prefix():
     # coefficients count partitions into distinct parts
     assert pochhammer_negqq(5).coeffs == (1, 1, 1, 2, 2, 3)
+    assert list(pochhammer_negqq(ORACLE_ORDER).coeffs) == euler_product(ORACLE_ORDER, 1)
+    assert list(pochhammer_negqq(ORACLE_ORDER, M8).coeffs) == euler_product(
+        ORACLE_ORDER, 1, M8.mask)
 
 
 def test_euler_product_pentagonal_support():
-    s = pochhammer_qq(120)
-    want = [0] * 121
+    # Euler's pentagonal theorem, checked on the dense product expansion
+    # (which does not use it) and then on pochhammer_qq (which does)
+    want = [0] * (ORACLE_ORDER + 1)
     want[0] = 1
-    for k in range(1, 10):
+    k = 1
+    while k * (3 * k - 1) // 2 <= ORACLE_ORDER:
         for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e <= 120:
+            if e <= ORACLE_ORDER:
                 want[e] = (-1) ** k
-    assert list(s.coeffs) == want
+        k += 1
+    assert euler_product(ORACLE_ORDER, -1) == want
+    assert list(pochhammer_qq(ORACLE_ORDER).coeffs) == want
+    assert list(pochhammer_qq(120).coeffs) == want[:121]
 
 
 # -- the identity suite ------------------------------------------------------
@@ -121,14 +136,5 @@ def test_pochhammer_product_identity():
 
 def test_modular_generators_match_reduced_exact():
     ring = mod2_ring(4)
-    for name, gen in GENERATORS.items():
-        assert gen(80, ring) == gen(80).reduce_mod(4), name
-
-
-def test_theta_series_dispatch():
-    assert set(GENERATORS) == {"phi", "phi_neg", "psi", "psi1", "psi2",
-                               "pochhammer_qq", "pochhammer_negqq"}
-    assert theta_series("phi", 10) == phi(10)
-    assert theta_series("psi2", 10, mod2_ring(8)).ring == mod2_ring(8)
-    with pytest.raises(ValueError):
-        theta_series("xi", 10)
+    for gen in (phi, phi_neg, psi, psi1, psi2, pochhammer_qq, pochhammer_negqq):
+        assert gen(80, ring) == gen(80).reduce_mod(4), gen.__name__
