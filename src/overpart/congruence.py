@@ -269,28 +269,34 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     q^j slots (j = 0..13, skipping 7) are polynomials in the pieces; the
     missing slots 7, 14, 15 are what make the mod-16 progressions at
     16n + 7, 14, 15 visible by construction.
+
+    Every piece is a series in x = q^16, so each is built at order
+    order // 16 in x.  The slot series F_j(x), times the prefactor
+    A^12 / D^16, are then interleaved: coefficient k of slot j is the
+    coefficient of q^(16k + j), cut at q^order.
     """
     if order < 16:
         raise ValueError(f"dissection needs order >= 16, got {order}")
     ring = mod2_ring(4)
-    A = theta.phi(order, ring).substitute_power(16)
-    P = theta.psi(order, ring).substitute_power(32)
-    P1 = theta.psi1(order, ring).substitute_power(16)
-    P2 = theta.psi2(order, ring).substitute_power(16)
-    D = theta.phi_neg(order, ring).substitute_power(16)
-    q16 = TruncatedSeries.monomial(ring, order, 16)
+    m = order // 16
+    A = theta.phi(m, ring)
+    P = theta.psi(m, ring).substitute_power(2)
+    P1 = theta.psi1(m, ring)
+    P2 = theta.psi2(m, ring)
+    D = theta.phi_neg(m, ring)
+    x = TruncatedSeries.monomial(ring, m, 1)
     # the q^4 slot carries psi(q^16)^2, the one piece not expressible in
     # the q^16/q^32 pieces above; with psi(q^32)^2 in its place the q^36
     # coefficient comes out wrong (the two differ by 8*q^4*A^5*(...),
     # visible mod 16 because this slot's prefactor is 2, not 8)
-    W = theta.psi(order, ring).substitute_power(16)
+    W = theta.psi(m, ring)
 
-    combo = q16 * P2 * P2 + P1 * P1  # q^16 psi2^2 + psi1^2, shows up four times
+    combo = x * P2 * P2 + P1 * P1  # q^16 psi2^2 + psi1^2, shows up four times
     Asq = A * A
     Psq = P * P
     slots = [
         (0, A * Asq),
-        (1, -2 * (4 * q16 * Psq * P2 + 7 * Asq * P1)),
+        (1, -2 * (4 * x * Psq * P2 + 7 * Asq * P1)),
         (2, 4 * (A * combo)),
         (3, 8 * (P1 * combo)),
         (4, 2 * (A * (4 * (W * W) + 3 * (A * P)))),
@@ -303,11 +309,12 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
         (12, 8 * (Psq * P)),
         (13, 8 * (A * P * P2)),
     ]
-    bracket = TruncatedSeries.zero(ring, order)
-    for j, s in slots:
-        bracket = bracket + s.shift(j)
-    # invert D before powering: phi(-q^16) is square-sparse, D^16 is not
-    return (A ** 12) * (D.invert() ** 16) * bracket
+    # invert D before powering: phi(-x) is square-sparse, D^16 is not
+    prefactor = (A ** 12) * (D.invert() ** 16)
+    out = [0] * (order + 1)
+    for j, f in slots:
+        out[j::16] = (prefactor * f).coeffs[:(order - j) // 16 + 1]
+    return TruncatedSeries(ring, out)
 
 
 def verify_dissection_mod16(limit: int, pbar: TruncatedSeries | None = None,
@@ -320,17 +327,17 @@ def verify_dissection_mod16(limit: int, pbar: TruncatedSeries | None = None,
         pbar = overpartitions.by_inversion(limit, mod2_ring(4))
     limit = _window(pbar, limit)
     _require_capacity(pbar, 16)
-    rhs = dissection_rhs_mod16(limit)
-    lhs = pbar.reduce_mod(4)
+    rhs = dissection_rhs_mod16(limit).coeffs
+    lhs = pbar.reduce_mod(4).coeffs
     status, witness = VERIFIED, None
-    for n in range(limit + 1):
-        if rhs[n] != lhs[n]:
-            status, witness = COUNTEREXAMPLE, (n, (rhs[n] - lhs[n]) % 16)
+    # zip stops at the end of rhs, q^limit
+    for n, (r, l) in enumerate(zip(rhs, lhs)):
+        if r != l:
+            status, witness = COUNTEREXAMPLE, (n, (r - l) % 16)
             break
     if status == VERIFIED:
         for r in (7, 14, 15):
-            column = rhs.dissect(16, r)
-            for n, v in enumerate(column.coeffs):
+            for n, v in enumerate(rhs[r::16]):
                 if v:
                     status, witness = COUNTEREXAMPLE, (16 * n + r, v)
                     break

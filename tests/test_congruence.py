@@ -216,6 +216,50 @@ def test_dissection_rhs_vanishing_columns():
         assert not rhs.dissect(16, r).is_zero()
 
 
+def q_assembly_rhs_mod16(order):
+    # the dissection assembled directly in q: every piece substituted
+    # q -> q^16 (or q^32) at the full order, the slots shifted into one
+    # bracket, and one multiply by the prefactor at the full order
+    ring = mod2_ring(4)
+    A = theta.phi(order, ring).substitute_power(16)
+    P = theta.psi(order, ring).substitute_power(32)
+    P1 = theta.psi1(order, ring).substitute_power(16)
+    P2 = theta.psi2(order, ring).substitute_power(16)
+    D = theta.phi_neg(order, ring).substitute_power(16)
+    W = theta.psi(order, ring).substitute_power(16)
+    q16 = TruncatedSeries.monomial(ring, order, 16)
+    combo = q16 * P2 * P2 + P1 * P1
+    Asq, Psq = A * A, P * P
+    slots = [
+        (0, A * Asq),
+        (1, -2 * (4 * q16 * Psq * P2 + 7 * Asq * P1)),
+        (2, 4 * (A * combo)),
+        (3, 8 * (P1 * combo)),
+        (4, 2 * (A * (4 * (W * W) + 3 * (A * P)))),
+        (5, 8 * (A * P * P1)),
+        (6, 8 * (P * combo)),
+        (8, 4 * (A * Psq)),
+        (9, -2 * (7 * Asq * P2 + 4 * Psq * P1)),
+        (10, 8 * (A * P1 * P2)),
+        (11, 8 * (P2 * combo)),
+        (12, 8 * (Psq * P)),
+        (13, 8 * (A * P * P2)),
+    ]
+    bracket = TruncatedSeries.zero(ring, order)
+    for j, s in slots:
+        bracket = bracket + s.shift(j)
+    return (A ** 12) * (D.invert() ** 16) * bracket
+
+
+@pytest.mark.parametrize("order", [16, 17, 31, 47, 600, 1007])
+def test_dissection_rhs_matches_q_assembly(order):
+    # orders off a multiple of 16 cut each slot's tail at a different k
+    rhs = dissection_rhs_mod16(order)
+    assert rhs.order == order
+    assert rhs == q_assembly_rhs_mod16(order)
+    assert rhs == by_inversion(order, mod2_ring(4))
+
+
 def test_dissection_rhs_order_check():
     with pytest.raises(ValueError):
         dissection_rhs_mod16(15)

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, mod2_ring
+from overpart import EXACT, TruncatedSeries, mod2_ring, theta
 
 from oracles import schoolbook_invert, schoolbook_mul
 
@@ -283,6 +283,48 @@ def test_division_matches_schoolbook(ring, seed):
         inv = schoolbook_invert(list(d.coeffs), ring.mask)
         assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
         assert (a / d) * d == a
+
+
+def distinct_unit_series(rng, ring, order):
+    # every term past d(0) a different value, so one group per term
+    c = [v * rng.choice([1, -1]) for v in rng.sample(range(1, 10**6), order + 1)]
+    c[0] = rng.choice([1, -1]) if ring.is_exact else c[0] | 1
+    return TruncatedSeries(ring, c)
+
+
+def late_unit_series(rng, ring, order):
+    # d(0) and then nothing until past order/2, so no value has a term
+    # in the recurrence for the first half of the quotient
+    c = [0] * (order + 1)
+    c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 32, 2)
+    for i in rng.sample(range(order // 2 + 1, order + 1), min(4, order - order // 2)):
+        c[i] = rng.choice([-3, -1, 2, 7])
+    return TruncatedSeries(ring, c)
+
+
+@pytest.mark.parametrize("ring,seed", [(EXACT, 36), (M32, 37)], ids=["Z", "Z/2^32"])
+@pytest.mark.parametrize("make", [distinct_unit_series, late_unit_series],
+                         ids=["dense-distinct", "late-support"])
+def test_division_by_grouped_values_matches_schoolbook(ring, seed, make):
+    rng = random.Random(seed)
+    for n in (0, 1, 2, 7, 40):
+        a = rand_series(rng, ring, n, lo=-10**6, hi=10**6)
+        d = make(rng, ring, n)
+        inv = schoolbook_invert(list(d.coeffs), ring.mask)
+        assert list(d.invert().coeffs) == inv
+        assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
+
+
+@pytest.mark.parametrize("ring", [EXACT, M32], ids=["Z", "Z/2^32"])
+@pytest.mark.parametrize("gen", [theta.phi_neg, theta.pochhammer_qq],
+                         ids=["phi_neg", "pochhammer_qq"])
+def test_division_by_theta_divisors_matches_schoolbook(ring, gen):
+    # the divisors the package uses: two values each (+-2, or +-1)
+    d = gen(300, ring)
+    a = rand_series(random.Random(38), ring, 300, lo=-10**6, hi=10**6)
+    inv = schoolbook_invert(list(d.coeffs), ring.mask)
+    assert list(d.invert().coeffs) == inv
+    assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, 301, ring.mask)
 
 
 def test_invert_requires_unit_constant():
