@@ -9,12 +9,19 @@ not proof; the scanner labels fresh finds CANDIDATE accordingly.
 All verifiers read the pbar series through its public coefficients only,
 so any construction of the series (product, inversion, 2-adic to adequate
 depth) yields identical reports.
+
+One verdict rule serves every verifier: a check walks its window in order
+as (n, residue) pairs; the first nonzero residue is the Counterexample
+witness, and with none the check is Verified.  The dissection walks its
+coefficient mismatches before its vanishing columns 7, 14, 15.  Skipped
+means a progression's offset B lies past the window.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from . import overpartitions, theta
 from .numtheory import is_prime, is_qnr, jacobi
@@ -115,6 +122,14 @@ def _require_capacity(pbar: TruncatedSeries, modulus: int):
             f"series ring {pbar.ring} cannot resolve residues mod {modulus}")
 
 
+def _verdict(subject, limit, source, t0, residues) -> VerificationReport:
+    """Counterexample at the first nonzero (n, residue) pair, else Verified."""
+    witness = next(((n, r) for n, r in residues if r), None)
+    status = VERIFIED if witness is None else COUNTEREXAMPLE
+    return VerificationReport(subject, status, limit, witness,
+                              time.perf_counter() - t0, source)
+
+
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
                        limit: int | None = None,
                        source: str = overpartitions.INVERSION) -> VerificationReport:
@@ -122,17 +137,11 @@ def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
     t0 = time.perf_counter()
     limit = _window(pbar, limit)
     _require_capacity(pbar, claim.M)
-    status, witness = VERIFIED, None
     if claim.B > limit:
-        status = SKIPPED
-    else:
-        for n, v in enumerate(pbar.coeffs[claim.B:limit + 1:claim.A]):
-            r = v % claim.M
-            if r:
-                status, witness = COUNTEREXAMPLE, (n, r)
-                break
-    return VerificationReport(claim, status, limit, witness,
-                              time.perf_counter() - t0, source)
+        return VerificationReport(claim, SKIPPED, limit, None,
+                                  time.perf_counter() - t0, source)
+    row = pbar.coeffs[claim.B:limit + 1:claim.A]
+    return _verdict(claim, limit, source, t0, enumerate(v % claim.M for v in row))
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -144,7 +153,7 @@ def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
     """
     if modulus not in (8, 16):
         raise ValueError(f"family verified mod 8 or mod 16 only, got {modulus}")
-    if ell == 2 or not is_prime(ell):
+    if ell < 3 or not is_prime(ell):
         raise ValueError(f"need an odd prime, got ell={ell}")
     if modulus == 16 and ell % 8 != 7:
         raise ValueError(
@@ -197,17 +206,15 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries, limit: int | None = None,
     t0 = time.perf_counter()
     limit = _window(pbar, limit)
     _require_capacity(pbar, 8)
-    status, witness = VERIFIED, None
-    for n, v in enumerate(pbar.coeffs[:limit + 1]):
-        kind = square_predicates(n)
-        if kind.is_square or kind.is_twice_square:
-            continue
-        r = v % 8
-        if r:
-            status, witness = COUNTEREXAMPLE, (n, r)
-            break
-    return VerificationReport("mod8-nonsquare", status, limit, witness,
-                              time.perf_counter() - t0, source)
+    co = pbar.coeffs
+    residues = ((n, co[n] % 8) for n in filter(_off_squares, range(limit + 1)))
+    return _verdict("mod8-nonsquare", limit, source, t0, residues)
+
+
+def _off_squares(n: int) -> bool:
+    """n is neither a square nor twice one."""
+    kind = square_predicates(n)
+    return not (kind.is_square or kind.is_twice_square)
 
 
 # tier -> (uses (-1)^n sign, the n the relation holds for)
@@ -249,15 +256,9 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     _require_capacity(pbar, modulus)
     signed, keeps = _4N_TIERS[modulus]
     co = pbar.coeffs
-    status, witness = VERIFIED, None
-    for n in filter(keeps, range(limit + 1)):
-        expect = -co[n] if signed and n & 1 else co[n]
-        r = (co[4 * n] - expect) % modulus
-        if r:
-            status, witness = COUNTEREXAMPLE, (n, r)
-            break
-    return VerificationReport(subject, status, limit, witness,
-                              time.perf_counter() - t0, source)
+    residues = ((n, (co[4 * n] - (-co[n] if signed and n & 1 else co[n])) % modulus)
+                for n in filter(keeps, range(limit + 1)))
+    return _verdict(subject, limit, source, t0, residues)
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -329,22 +330,10 @@ def verify_dissection_mod16(limit: int, pbar: TruncatedSeries | None = None,
     _require_capacity(pbar, 16)
     rhs = dissection_rhs_mod16(limit).coeffs
     lhs = pbar.reduce_mod(4).coeffs
-    status, witness = VERIFIED, None
     # zip stops at the end of rhs, q^limit
-    for n, (r, l) in enumerate(zip(rhs, lhs)):
-        if r != l:
-            status, witness = COUNTEREXAMPLE, (n, (r - l) % 16)
-            break
-    if status == VERIFIED:
-        for r in (7, 14, 15):
-            for n, v in enumerate(rhs[r::16]):
-                if v:
-                    status, witness = COUNTEREXAMPLE, (16 * n + r, v)
-                    break
-            if witness:
-                break
-    return VerificationReport("dissection-mod16", status, limit, witness,
-                              time.perf_counter() - t0, source)
+    mismatches = ((n, (r - l) % 16) for n, (r, l) in enumerate(zip(rhs, lhs)))
+    columns = ((16 * k + j, v) for j in (7, 14, 15) for k, v in enumerate(rhs[j::16]))
+    return _verdict("dissection-mod16", limit, source, t0, chain(mismatches, columns))
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:

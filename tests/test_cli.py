@@ -156,6 +156,10 @@ def test_verify_suite_parameter_errors(capsys):
     code, out, err = run_cli(capsys, "verify", "all", "--limit", "-1")
     assert code == 2 and out == ""
     assert "--limit must be >= 0" in err
+    for suite, ell in (("thm-ell:-7", -7), ("families8:-3", -3)):
+        code, out, err = run_cli(capsys, "verify", suite, "--limit", "100")
+        assert code == 2 and out == ""
+        assert f"need an odd prime, got ell={ell}" in err, suite
 
 
 # sha256 and report count of `verify SUITE --limit 600` stdout, pinned so

@@ -6,7 +6,7 @@ import pytest
 
 from overpart import (CongruenceClaim, EXACT, TruncatedSeries, mod2_ring,
                       scan_congruences)
-from overpart import theta
+from overpart import congruence, theta
 from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  VERIFIED, combined_family_claims,
                                  dissection_rhs_mod16, known_claims,
@@ -186,6 +186,22 @@ def test_4n_tier_filters_are_necessary(pbar_mod32_20k):
     assert any(fails(n, 128) for n in range(200) if n % 4 != 0)
 
 
+def test_4n_tier_counterexample_witness(pbar_mod32_20k):
+    # raise pbar(4*9) by 6 and pbar(4*13) by 1; each relation held before,
+    # so the residue at a corrupted n is the added amount mod the tier
+    co = list(pbar_mod32_20k.coeffs)
+    co[4 * 9] += 6
+    co[4 * 13] += 1
+    bad = TruncatedSeries(pbar_mod32_20k.ring, co)
+    # n = 9 is odd and both tiers keep it; a wrong sign mod 16 would read
+    # (6 - 2*pbar(9)) % 16 = 2, since pbar(9) = 154
+    assert verify_4n_relations(bad, 4, 5000).witness == (9, 2)
+    rep = verify_4n_relations(bad, 16, 5000)
+    assert rep.status == COUNTEREXAMPLE and rep.witness == (9, 6)
+    # the mod-32 tier drops the odd square 9, so the later n = 13 is first
+    assert verify_4n_relations(bad, 32, 5000).witness == (13, 1)
+
+
 def test_4n_tier_validation(pbar_mod32_20k):
     with pytest.raises(ValueError):
         verify_4n_relations(pbar_mod32_20k, 256, 100)
@@ -298,6 +314,23 @@ def test_dissection_counterexample_path():
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness == (2, 4)
     assert rep.source == "2adic:1"
+
+
+def test_dissection_vanishing_column_witness(monkeypatch):
+    # a rebuilt series equal to pbar but nonzero in column 14 (at q^14)
+    # and column 7 (at q^23): the columns are checked 7, 14, 15 in turn
+    ring = mod2_ring(4)
+    co = [0] * 41
+    co[14], co[23] = 3, 5
+    monkeypatch.setattr(congruence, "dissection_rhs_mod16",
+                        lambda order: TruncatedSeries(ring, co[:order + 1]))
+    rep = verify_dissection_mod16(40, TruncatedSeries(ring, co))
+    assert rep.status == COUNTEREXAMPLE and rep.witness == (23, 5)
+    # coefficient mismatches come before the columns: pbar(5) = 9 against 0
+    co_l = list(co)
+    co_l[5] = 9
+    rep = verify_dissection_mod16(40, TruncatedSeries(ring, co_l))
+    assert rep.witness == (5, (0 - 9) % 16)
 
 
 # -- combined families and the known table ----------------------------------------
