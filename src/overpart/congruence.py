@@ -250,7 +250,9 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     t0 = time.perf_counter()
     if limit is None:
         limit = pbar.order // 4
-    if limit < 0 or 4 * limit > pbar.order:
+    if limit < 0:
+        raise ValueError(f"window bound must be >= 0, got {limit}")
+    if 4 * limit > pbar.order:
         raise ValueError(
             f"tier needs coefficients to 4*{limit}, series stops at {pbar.order}")
     _require_capacity(pbar, modulus)

@@ -17,14 +17,28 @@ the square-sparse phi(-q), and agree exactly at every order.  The
 truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
 that is its contract, and the tests exercise exactly that.
 
+The 2-adic sum is sum_{k=0..K} X^k with X = -2 S(-q), S(q) = q + q^4 +
+q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n).
+two_adic evaluates it by Horner's rule, T <- 1 + X T repeated K times,
+in Z/2^m on one packed integer with w-bit slots.  X has floor(sqrt(N))
+terms, +2 at odd squares and -2 at even ones, so X T is a signed sum of
+shifted copies of T: no multiply and no division.  Every slot carries a
+lift that is a multiple of 2^m and keeps it non-negative, and one `&`
+with a repeated mask then reduces all slots mod 2^m at once.  Over Z,
+m is chosen so that 2^(m-1) exceeds every |coefficient|, and residues
+at or above 2^(m-1) are lifted back to negative values.
+
 count_by_enumeration recounts pbar(n) from the definition, touching no
 series code, and anchors everything else.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from . import theta
 from .series import DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries
+# unused here; the benchmark's tracer wraps ck_table at this attribute
 from .squares import ck_table
 
 PRODUCT = "product"
@@ -49,21 +63,46 @@ def two_adic(order: int, depth: int, ring: CoeffRing = EXACT) -> TruncatedSeries
     Congruent to pbar coefficientwise mod 2^(depth+1).  A modular ring must
     be at least depth+1 bits wide or the leading term would not even be
     representable.
+
+    Built by Horner's rule in Z/2^m (see the module docstring), with
+    m = ring.bits in a modular ring.  Over Z, m is one bit more than the
+    bit length of sum_{k<=depth} (2r)^k, r = floor(sqrt(order)), which
+    bounds every |coefficient| since c_k(n) <= r^k.  Coefficient n sits
+    in slot order - n, so X T reads T through right shifts by s^2 slots,
+    each one bit short so that it also doubles.  Before the mask a slot
+    is below 2^(m+1) r, which fixes the slot width w.
     """
     if depth < 1:
         raise ValueError(f"2-adic depth must be >= 1, got {depth}")
     if ring.bits is not None and ring.bits < depth + 1:
         raise ValueError(
             f"ring {ring} too narrow for the 2^{depth} term; need >= {depth + 1} bits")
-    table = ck_table(depth, order)
-    c = [0] * (order + 1)
-    c[0] = 1
-    for n in range(1, order + 1):
-        v = 0
-        for k in range(1, depth + 1):
-            term = table.count(k, n) << k
-            v += -term if (n + k) & 1 else term
-        c[n] = v
+    r = isqrt(order)
+    m = ring.bits
+    if m is None:
+        m = sum((2 * r) ** k for k in range(depth + 1)).bit_length() + 1
+    sb = (m + 1 + r.bit_length() + 7) // 8
+    w = 8 * sb
+    plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
+    minus = [s * s * w - 1 for s in range(2, r + 1, 2)]
+    ones = int.from_bytes((1).to_bytes(sb, "big") * (order + 1), "big")
+    mask = ones * ((1 << m) - 1)
+    one = 1 << (order * w)  # the series 1: q^0 sits in the top slot
+    # the lift covers the minus terms, each below 2^(m+1), and adds the 1
+    lift = ones * (len(minus) << (m + 1)) + one
+    t = one
+    for _ in range(depth):
+        u = lift
+        for sh in plus:
+            u += t >> sh
+        for sh in minus:
+            u -= t >> sh
+        t = u & mask
+    data = t.to_bytes((order + 1) * sb, "big")
+    c = [int.from_bytes(data[i:i + sb], "big") for i in range(0, len(data), sb)]
+    if ring.is_exact:
+        half = 1 << (m - 1)
+        c = [v - 2 * half if v >= half else v for v in c]
     return TruncatedSeries(ring, c)
 
 

@@ -61,6 +61,29 @@ def euler_product(n_max, sign, mask=None):
     return c
 
 
+def two_adic_by_counts(order, depth, mask=None):
+    """1 + sum_{k=1..depth} 2^k sum_n (-1)^(n+k) c_k(n) q^n, one (n, k) at a time.
+
+    Row c_k is the k-th power of the square indicator, by repeated
+    schoolbook multiplication.
+    """
+    squares = [0] * (order + 1)
+    s = 1
+    while s * s <= order:
+        squares[s * s] = 1
+        s += 1
+    out = [1] + [0] * order
+    ck = [1] + [0] * order  # c_0
+    for k in range(1, depth + 1):
+        ck = schoolbook_mul(squares, ck, order + 1)
+        for n in range(order + 1):
+            term = ck[n] << k
+            out[n] += -term if (n + k) & 1 else term
+    if mask is not None:
+        out = [v & mask for v in out]
+    return out
+
+
 def pbar_by_recurrence(n_max):
     """Overpartition counts from scratch: expand the defining product.
 

@@ -203,6 +203,20 @@ def test_verify_product_source_matches_invert(capsys):
     assert reports["product"] == reports["invert"]
 
 
+def test_verify_two_adic_source_matches_invert(capsys):
+    # 2adic:31 carries pbar mod 2^32, so at a window of 2500 it reproduces
+    # every report of the exact inversion
+    reports = {}
+    for source in ("invert", "2adic:31"):
+        code, out, _ = run_cli(capsys, "verify", "all", "--limit", "2500",
+                               "--source", source)
+        assert code == 0
+        reports[source] = json.loads(out)
+        assert all(r.pop("source") == source for r in reports[source])
+    assert len(reports["2adic:31"]) == 152
+    assert reports["2adic:31"] == reports["invert"]
+
+
 def test_verify_counterexample_exits_one(capsys):
     # a depth-1 series carries pbar only mod 4, so the mod-16 dissection
     # comparison must report a counterexample and exit 1

@@ -208,6 +208,8 @@ def test_4n_tier_validation(pbar_mod32_20k):
     small = by_inversion(100, mod2_ring(8))
     with pytest.raises(ValueError):
         verify_4n_relations(small, 4, 26)  # needs coefficients to 104
+    with pytest.raises(ValueError, match="window bound must be >= 0, got -1"):
+        verify_4n_relations(small, 4, -1)
     assert verify_4n_relations(small, 4).range_checked == 25  # order // 4
 
 

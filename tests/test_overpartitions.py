@@ -7,7 +7,7 @@ from overpart import (EXACT, by_inversion, by_product, count_by_enumeration,
 from overpart.series import DEFAULT_RING
 from overpart.squares import square_predicates
 
-from oracles import pbar_by_recurrence
+from oracles import pbar_by_recurrence, two_adic_by_counts
 
 FIRST_VALUES = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 
@@ -61,6 +61,18 @@ def test_two_adic_depth_one_values():
     # 1 + 2 sum (-1)^(n+1) c_1(n) q^n, written out by hand
     s = two_adic(10, 1)
     assert s.coeffs == (1, 2, 0, 0, -2, 0, 0, 0, 0, 2, 0)
+
+
+@pytest.mark.parametrize("order", (0, 1, 3, 4, 8, 9, 15, 16, 17, 300, 1001))
+@pytest.mark.parametrize("depth", (1, 2, 3, 7, 31))
+def test_two_adic_matches_sum_of_counts(order, depth):
+    # the orders straddle the squares where floor(sqrt(order)), and with it
+    # the slot width and the exact ring's bound, changes
+    assert two_adic(order, depth).coeffs == tuple(two_adic_by_counts(order, depth))
+    for bits in {depth + 1, 32}:
+        mask = (1 << bits) - 1
+        assert (two_adic(order, depth, mod2_ring(bits)).coeffs
+                == tuple(two_adic_by_counts(order, depth, mask)))
 
 
 def test_two_adic_truncation_contract():
