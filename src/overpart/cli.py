@@ -6,8 +6,9 @@ Subcommands: gen (coefficient dump), verify (built-in suites), ck
 
 Contract: data on stdout, timing on stderr, byte-identical output for
 identical invocations.  Exit 0 on success / all checks passing, 1 when a
-verification found a counterexample, 2 on usage errors.  JSON output is a
-single document; CSV is unquoted.
+verification found a counterexample, 2 on usage errors, including a verify
+window that reaches no point of its suite (every check Skipped).  JSON
+output is a single document; CSV is unquoted.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ def cmd_verify(args) -> tuple[str, int]:
     order = congruence.series_order(checks, args.limit)
     pbar = overpartitions.generating_series(order, None, args.source)
     reports = congruence.run_checks(checks, pbar, args.limit, args.source)
+    if all(r.status == congruence.SKIPPED for r in reports):
+        raise ValueError(f"--limit {args.limit} reaches no point of suite "
+                         f"{args.suite}: every check was {congruence.SKIPPED}")
     reports.sort(key=_sort_key)
     code = 0 if all(r.ok for r in reports) else 1
     if args.format == "json":

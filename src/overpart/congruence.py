@@ -466,9 +466,11 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     kills the claim immediately; that is intentional (a congruence that
     fails at zero is not a congruence).  Progressions with fewer than
     min_checks points in the window are suppressed rather than reported
-    on thin evidence.
+    on thin evidence.  An empty mods would check nothing and is an error.
     """
     mods = sorted(set(mods))
+    if not mods:
+        raise ValueError(f"scan needs at least one modulus from {_SCAN_MODULI}")
     for m in mods:
         if m not in _SCAN_MODULI:
             raise ValueError(f"scan moduli limited to {_SCAN_MODULI}, got {m}")
@@ -477,7 +479,7 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     if min_checks < 1:
         raise ValueError(f"min_checks must be >= 1, got {min_checks}")
     limit = _window(pbar, limit)
-    _require_capacity(pbar, max(mods, default=2))
+    _require_capacity(pbar, max(mods))
     known = known_claims()
     co = pbar.coeffs
     hits = []

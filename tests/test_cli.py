@@ -234,6 +234,7 @@ def test_verify_all_composition(capsys):
     doc = json.loads(out)
     assert len(doc) == 152
     assert all(r["status"] in ("Verified", "Skipped") for r in doc)
+    assert any(r["status"] == "Skipped" for r in doc)
     claims = [r["claim"] for r in doc if isinstance(r["claim"], dict)]
     ids = [r["claim"] for r in doc if isinstance(r["claim"], str)]
     assert {"A": 16, "B": 14, "M": 16} in claims
@@ -244,6 +245,13 @@ def test_verify_all_composition(capsys):
     # claims come sorted, identity ids after them
     keys = [(c["A"], c["B"], c["M"]) for c in claims]
     assert keys == sorted(keys)
+
+
+def test_verify_all_skipped_is_a_usage_error(capsys):
+    # --limit 10 is below every offset B of thm-ell:23: nothing is checked
+    code, out, err = run_cli(capsys, "verify", "thm-ell:23", "--limit", "10")
+    assert code == 2 and out == ""
+    assert "reaches no point of suite thm-ell:23" in err
 
 
 def test_verify_table_format(capsys):
@@ -296,6 +304,9 @@ def test_scan_validation(capsys):
     code, out, err = run_cli(capsys, "scan", "--limit", "-1")
     assert code == 2 and out == ""
     assert "--limit must be >= 0" in err
+    code, out, err = run_cli(capsys, "scan", "--mods", ",,", "--limit", "500")
+    assert code == 2 and out == ""
+    assert "at least one modulus from (4, 8, 16, 32, 64, 128)" in err
 
 
 # -- entry points -------------------------------------------------------------------

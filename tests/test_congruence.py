@@ -452,3 +452,5 @@ def test_scan_validation(pbar_mod32_20k):
         scan_congruences(pbar_mod32_20k, 0, (8,), 1000)
     with pytest.raises(ValueError):
         scan_congruences(pbar_mod32_20k, 8, (8,), 1000, min_checks=0)
+    with pytest.raises(ValueError, match="at least one modulus"):
+        scan_congruences(pbar_mod32_20k, 8, (), 1000)

@@ -43,6 +43,13 @@ def test_product_equals_inversion(pbar_mod32_20k):
     assert by_product(20000, mod2_ring(32)) == pbar_mod32_20k
 
 
+def test_modular_constructions_match_exact_anchor(pbar_exact_5000):
+    # the exact ring divides with the per-n loop alone, so this checks the
+    # blocked far-lag sums of Z/2^m against an independent computation
+    assert by_inversion(5000, mod2_ring(32)) == pbar_exact_5000.reduce_mod(32)
+    assert by_product(5000, mod2_ring(8)) == pbar_exact_5000.reduce_mod(8)
+
+
 def test_parity(pbar_mod32_20k):
     co = pbar_mod32_20k.coeffs
     assert co[0] == 1

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, mod2_ring, theta
+from overpart import EXACT, TruncatedSeries, mod2_ring, series, theta
 
 from oracles import schoolbook_invert, schoolbook_mul
 
@@ -302,17 +302,54 @@ def late_unit_series(rng, ring, order):
     return TruncatedSeries(ring, c)
 
 
-@pytest.mark.parametrize("ring,seed", [(EXACT, 36), (M32, 37)], ids=["Z", "Z/2^32"])
-@pytest.mark.parametrize("make", [distinct_unit_series, late_unit_series],
-                         ids=["dense-distinct", "late-support"])
-def test_division_by_grouped_values_matches_schoolbook(ring, seed, make):
-    rng = random.Random(seed)
-    for n in (0, 1, 2, 7, 40):
+RINGS = [EXACT, mod2_ring(1), mod2_ring(4), M32, mod2_ring(64)]
+RING_IDS = ["Z", "Z/2", "Z/2^4", "Z/2^32", "Z/2^64"]
+B = series._BLOCK
+# around the block edges, and one order that is not a multiple of B
+EDGE_ORDERS = (B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 1001)
+
+
+def straddle_unit_series(rng, ring, order):
+    # terms on both sides of every block edge, so lags cross from the
+    # per-n loop into the packed far sums at B and at 2B, 3B, ...
+    c = [0] * (order + 1)
+    c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 32, 2)
+    for edge in range(B, order + 2, B):
+        for i in (edge - 1, edge, edge + 1):
+            if i <= order:
+                c[i] = rng.choice([-2, -1, 1, 2, 3])
+    return TruncatedSeries(ring, c)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("make", [distinct_unit_series, late_unit_series,
+                                  straddle_unit_series],
+                         ids=["dense-distinct", "late-support", "straddle"])
+def test_division_by_grouped_values_matches_schoolbook(ring, make):
+    rng = random.Random(36)
+    for n in (0, 1, 2, 7, 40) + EDGE_ORDERS:
+        if ring.is_exact and make is distinct_unit_series and n > 2 * B + 1:
+            continue  # exact coefficients reach thousands of digits; the oracle is too slow
         a = rand_series(rng, ring, n, lo=-10**6, hi=10**6)
         d = make(rng, ring, n)
         inv = schoolbook_invert(list(d.coeffs), ring.mask)
         assert list(d.invert().coeffs) == inv
         assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 63])
+@pytest.mark.parametrize("ring", RINGS[1:], ids=RING_IDS[1:])
+def test_division_matches_schoolbook_at_any_block_size(monkeypatch, ring, block):
+    # small blocks make nearly every lag far and put many edges in a
+    # short series; the quotient must not depend on where they fall
+    monkeypatch.setattr(series, "_BLOCK", block)
+    rng = random.Random(39)
+    for n in (0, 1, 5, 64, 130):
+        for make in (sparse_unit_series, distinct_unit_series, straddle_unit_series):
+            a = rand_series(rng, ring, n, lo=0, hi=10**6)
+            d = make(rng, ring, n)
+            inv = schoolbook_invert(list(d.coeffs), ring.mask)
+            assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
 
 
 @pytest.mark.parametrize("ring", [EXACT, M32], ids=["Z", "Z/2^32"])
