@@ -12,24 +12,22 @@ from .congruence import (
     CongruenceClaim,
     ScanHit,
     VerificationReport,
+    run_checks,
     scan_congruences,
+    suite_checks,
     verify_4n_relations,
-    verify_combined_families,
     verify_dissection_mod16,
-    verify_ell_family,
-    verify_mod8_families,
     verify_mod8_nonsquare,
     verify_progression,
 )
 from .overpartitions import (
     by_inversion,
     by_product,
-    count_by_enumeration,
     generating_series,
     two_adic,
 )
 from .series import EXACT, CoeffRing, TruncatedSeries, mod2_ring
-from .squares import ck_bruteforce, ck_table, square_predicates
+from .squares import ck_table, square_predicates
 
 __version__ = "0.1.0"
 
@@ -37,24 +35,21 @@ __all__ = [
     "CongruenceClaim",
     "ScanHit",
     "VerificationReport",
+    "run_checks",
     "scan_congruences",
+    "suite_checks",
     "verify_4n_relations",
-    "verify_combined_families",
     "verify_dissection_mod16",
-    "verify_ell_family",
-    "verify_mod8_families",
     "verify_mod8_nonsquare",
     "verify_progression",
     "by_inversion",
     "by_product",
-    "count_by_enumeration",
     "generating_series",
     "two_adic",
     "EXACT",
     "CoeffRing",
     "TruncatedSeries",
     "mod2_ring",
-    "ck_bruteforce",
     "ck_table",
     "square_predicates",
     "__version__",

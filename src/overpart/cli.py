@@ -7,8 +7,11 @@ Subcommands: gen (coefficient dump), verify (built-in suites), ck
 Contract: data on stdout, timing on stderr, byte-identical output for
 identical invocations.  Exit 0 on success / all checks passing, 1 when a
 verification found a counterexample, 2 on usage errors, including a verify
-window that reaches no point of its suite (every check Skipped).  JSON
-output is a single document; CSV is unquoted.
+window that reaches no point of its suite (every check Skipped) and a scan
+window too short for --min-checks, 3 on an internal error (a bug: the
+traceback goes to stderr).  JSON output is a single document; CSV is
+unquoted.  Reports do not know which construction built their series;
+verify stamps --source on every row.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import congruence, overpartitions
 from .series import EXACT, mod2_ring
@@ -132,14 +136,14 @@ def _sort_key(report):
     return (1, 0, 0, 0, c)
 
 
-def _report_rows(reports):
+def _report_rows(reports, source):
     rows = []
     for rep in reports:
         c = rep.subject
         subject = f"{c.A}n+{c.B}_mod_{c.M}" if isinstance(
             c, congruence.CongruenceClaim) else c
         wn, wv = ("", "") if rep.witness is None else rep.witness
-        rows.append([subject, rep.status, rep.range_checked, wn, wv, rep.source])
+        rows.append([subject, rep.status, rep.range_checked, wn, wv, source])
     return rows
 
 
@@ -147,17 +151,17 @@ def cmd_verify(args) -> tuple[str, int]:
     checks = congruence.suite_checks(args.suite)
     order = congruence.series_order(checks, args.limit)
     pbar = overpartitions.generating_series(order, None, args.source)
-    reports = congruence.run_checks(checks, pbar, args.limit, args.source)
+    reports = congruence.run_checks(checks, pbar, args.limit)
     if all(r.status == congruence.SKIPPED for r in reports):
         raise ValueError(f"--limit {args.limit} reaches no point of suite "
                          f"{args.suite}: every check was {congruence.SKIPPED}")
     reports.sort(key=_sort_key)
     code = 0 if all(r.ok for r in reports) else 1
     if args.format == "json":
-        doc = [r.as_json_dict() for r in reports]
+        doc = [dict(r.as_json_dict(), source=args.source) for r in reports]
         return json.dumps(doc, indent=2) + "\n", code
     header = ["subject", "status", "range", "witness_n", "witness_value", "source"]
-    return _emit_rows(args.format, header, _report_rows(reports)), code
+    return _emit_rows(args.format, header, _report_rows(reports, args.source)), code
 
 
 def cmd_scan(args) -> tuple[str, int]:
@@ -196,6 +200,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code

@@ -6,9 +6,12 @@ pbar series over an explicit window and report Verified, Counterexample,
 or Skipped -- never anything probabilistic.  Passing a window is evidence,
 not proof; the scanner labels fresh finds CANDIDATE accordingly.
 
-All verifiers read the pbar series through its public coefficients only,
-so any construction of the series (product, inversion, 2-adic to adequate
-depth) yields identical reports.
+All verifiers read the pbar series they are given through its public
+coefficients only, so any construction of the series (product,
+inversion, 2-adic to adequate depth) yields identical reports; a report
+does not record which one was used.  Checks are run by name through one
+entry point: run_checks(suite_checks(name), pbar, limit), where SUITES
+maps every suite name to its checks.
 
 One verdict rule serves every verifier: a check walks its window in order
 as (n, residue) pairs; the first nonzero residue is the Counterexample
@@ -23,7 +26,7 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 
-from . import overpartitions, theta
+from . import theta
 from .numtheory import is_prime, is_qnr, jacobi
 from .series import TruncatedSeries, mod2_ring
 from .squares import square_predicates
@@ -66,7 +69,6 @@ class VerificationReport:
     range_checked: int
     witness: tuple[int, int] | None
     elapsed: float
-    source: str
 
     @property
     def ok(self) -> bool:
@@ -80,7 +82,6 @@ class VerificationReport:
         out = {"claim": claim, "status": self.status, "range": self.range_checked}
         if self.witness is not None:
             out["witness"] = {"n": self.witness[0], "value": self.witness[1]}
-        out["source"] = self.source
         return out
 
 
@@ -122,26 +123,25 @@ def _require_capacity(pbar: TruncatedSeries, modulus: int):
             f"series ring {pbar.ring} cannot resolve residues mod {modulus}")
 
 
-def _verdict(subject, limit, source, t0, residues) -> VerificationReport:
+def _verdict(subject, limit, t0, residues) -> VerificationReport:
     """Counterexample at the first nonzero (n, residue) pair, else Verified."""
     witness = next(((n, r) for n, r in residues if r), None)
     status = VERIFIED if witness is None else COUNTEREXAMPLE
     return VerificationReport(subject, status, limit, witness,
-                              time.perf_counter() - t0, source)
+                              time.perf_counter() - t0)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
-                       limit: int | None = None,
-                       source: str = overpartitions.INVERSION) -> VerificationReport:
+                       limit: int | None = None) -> VerificationReport:
     """Check one claim for every n with A*n + B <= limit."""
     t0 = time.perf_counter()
     limit = _window(pbar, limit)
     _require_capacity(pbar, claim.M)
     if claim.B > limit:
         return VerificationReport(claim, SKIPPED, limit, None,
-                                  time.perf_counter() - t0, source)
+                                  time.perf_counter() - t0)
     row = pbar.coeffs[claim.B:limit + 1:claim.A]
-    return _verdict(claim, limit, source, t0, enumerate(v % claim.M for v in row))
+    return _verdict(claim, limit, t0, enumerate(v % claim.M for v in row))
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -159,13 +159,6 @@ def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
         raise ValueError(
             f"mod-16 family needs ell == 7 (mod 8); ell={ell} is {ell % 8} (mod 8)")
     return [CongruenceClaim(ell * ell, r * ell, modulus) for r in range(1, ell)]
-
-
-def verify_ell_family(pbar: TruncatedSeries, ell: int, modulus: int = 16,
-                      limit: int | None = None,
-                      source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    """One report per claim of ell_family_claims(ell, modulus)."""
-    return run_checks(ell_family_claims(ell, modulus), pbar, limit, source)
 
 
 def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
@@ -194,21 +187,15 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
     return sorted(claims)
 
 
-def verify_mod8_families(pbar: TruncatedSeries, ell: int,
-                         limit: int | None = None,
-                         source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    return run_checks(mod8_family_claims(ell), pbar, limit, source)
-
-
-def verify_mod8_nonsquare(pbar: TruncatedSeries, limit: int | None = None,
-                          source: str = overpartitions.INVERSION) -> VerificationReport:
+def verify_mod8_nonsquare(pbar: TruncatedSeries,
+                          limit: int | None = None) -> VerificationReport:
     """pbar(n) == 0 (mod 8) whenever n is neither a square nor twice one."""
     t0 = time.perf_counter()
     limit = _window(pbar, limit)
     _require_capacity(pbar, 8)
     co = pbar.coeffs
     residues = ((n, co[n] % 8) for n in filter(_off_squares, range(limit + 1)))
-    return _verdict("mod8-nonsquare", limit, source, t0, residues)
+    return _verdict("mod8-nonsquare", limit, t0, residues)
 
 
 def _off_squares(n: int) -> bool:
@@ -238,8 +225,7 @@ def _4n_check(modulus: int) -> str:
 
 
 def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
-                        limit: int | None = None,
-                        source: str = overpartitions.INVERSION) -> VerificationReport:
+                        limit: int | None = None) -> VerificationReport:
     """pbar(4n) == (-1)^n * pbar(n) (mod modulus) on the tier's n-set.
 
     Tiers: mod 4 (plus sign, all n), mod 8 and mod 16 (all n), mod 32
@@ -260,7 +246,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     co = pbar.coeffs
     residues = ((n, (co[4 * n] - (-co[n] if signed and n & 1 else co[n])) % modulus)
                 for n in filter(keeps, range(limit + 1)))
-    return _verdict(subject, limit, source, t0, residues)
+    return _verdict(subject, limit, t0, residues)
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -320,14 +306,12 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     return TruncatedSeries(ring, out)
 
 
-def verify_dissection_mod16(limit: int, pbar: TruncatedSeries | None = None,
-                            source: str = overpartitions.INVERSION) -> VerificationReport:
+def verify_dissection_mod16(pbar: TruncatedSeries,
+                            limit: int | None = None) -> VerificationReport:
     """Rebuild the pbar series mod 16 from the theta-piece dissection and
     compare coefficientwise; also require the q^(16n+7), q^(16n+14) and
     q^(16n+15) columns of the rebuilt series to vanish identically."""
     t0 = time.perf_counter()
-    if pbar is None:
-        pbar = overpartitions.by_inversion(limit, mod2_ring(4))
     limit = _window(pbar, limit)
     _require_capacity(pbar, 16)
     rhs = dissection_rhs_mod16(limit).coeffs
@@ -335,7 +319,7 @@ def verify_dissection_mod16(limit: int, pbar: TruncatedSeries | None = None,
     # zip stops at the end of rhs, q^limit
     mismatches = ((n, (r - l) % 16) for n, (r, l) in enumerate(zip(rhs, lhs)))
     columns = ((16 * k + j, v) for j in (7, 14, 15) for k, v in enumerate(rhs[j::16]))
-    return _verdict("dissection-mod16", limit, source, t0, chain(mismatches, columns))
+    return _verdict("dissection-mod16", limit, t0, chain(mismatches, columns))
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
@@ -351,12 +335,6 @@ def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
             CongruenceClaim(8 * f, 7 * f, 64),
         ]
     return sorted(claims)
-
-
-def verify_combined_families(pbar: TruncatedSeries, kmax: int = 2,
-                             limit: int | None = None,
-                             source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    return run_checks(combined_family_claims(kmax), pbar, limit, source)
 
 
 # fixed single-progression congruences used as a regression anchor:
@@ -394,6 +372,7 @@ SUITES = {
     "dissection": lambda: ["dissection-mod16"],
     "kim8": lambda: ["mod8-nonsquare"],
     "families8:L": mod8_family_claims,
+    # everything with a fixed published form
     "known-table": lambda: [*REGRESSION_CLAIMS, *_concat(
         "kim8", *(f"families8:{ell}" for ell in (3, 5, 7, 11, 13)))],
     "combined": lambda: combined_family_claims(2),
@@ -427,28 +406,20 @@ def series_order(checks, limit: int) -> int:
     return limit
 
 
-def run_checks(checks, pbar: TruncatedSeries, limit: int | None = None,
-               source: str = overpartitions.INVERSION) -> list[VerificationReport]:
+def run_checks(checks, pbar: TruncatedSeries,
+               limit: int | None = None) -> list[VerificationReport]:
     """One report per check, in order."""
-    return [_run_check(c, pbar, limit, source) for c in checks]
+    return [_run_check(c, pbar, limit) for c in checks]
 
 
-def _run_check(check, pbar, limit, source) -> VerificationReport:
+def _run_check(check, pbar, limit) -> VerificationReport:
     if isinstance(check, CongruenceClaim):
-        return verify_progression(pbar, check, limit, source)
+        return verify_progression(pbar, check, limit)
     if check == "mod8-nonsquare":
-        return verify_mod8_nonsquare(pbar, limit, source)
+        return verify_mod8_nonsquare(pbar, limit)
     if check == "dissection-mod16":
-        return verify_dissection_mod16(limit, pbar, source)
-    return verify_4n_relations(pbar, int(check[len(_4N_PREFIX):]), limit, source)
-
-
-def run_known_table(pbar: TruncatedSeries, limit: int | None = None,
-                    source: str = overpartitions.INVERSION) -> list[VerificationReport]:
-    """Everything with a fixed published form: the regression claims, the
-    mod-8 statement away from squares, and the mod-8 families at small
-    primes."""
-    return run_checks(suite_checks("known-table"), pbar, limit, source)
+        return verify_dissection_mod16(pbar, limit)
+    return verify_4n_relations(pbar, int(check[len(_4N_PREFIX):]), limit)
 
 
 def known_claims() -> frozenset:
@@ -466,7 +437,8 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     kills the claim immediately; that is intentional (a congruence that
     fails at zero is not a congruence).  Progressions with fewer than
     min_checks points in the window are suppressed rather than reported
-    on thin evidence.  An empty mods would check nothing and is an error.
+    on thin evidence.  An empty mods, or a window of fewer than min_checks
+    points, would check nothing and is an error.
     """
     mods = sorted(set(mods))
     if not mods:
@@ -479,6 +451,10 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     if min_checks < 1:
         raise ValueError(f"min_checks must be >= 1, got {min_checks}")
     limit = _window(pbar, limit)
+    if limit + 1 < min_checks:
+        raise ValueError(
+            f"window [0, {limit}] holds {limit + 1} points, fewer than "
+            f"min_checks={min_checks}: no progression can be checked")
     _require_capacity(pbar, max(mods))
     known = known_claims()
     co = pbar.coeffs

@@ -28,8 +28,8 @@ with a repeated mask then reduces all slots mod 2^m at once.  Over Z,
 m is chosen so that 2^(m-1) exceeds every |coefficient|, and residues
 at or above 2^(m-1) are lifted back to negative values.
 
-count_by_enumeration recounts pbar(n) from the definition, touching no
-series code, and anchors everything else.
+The anchor under all three, pbar(n) recounted from the definition with
+no series code, is tests/oracles.count_by_enumeration.
 """
 
 from __future__ import annotations
@@ -104,28 +104,6 @@ def two_adic(order: int, depth: int, ring: CoeffRing = EXACT) -> TruncatedSeries
         half = 1 << (m - 1)
         c = [v - 2 * half if v >= half else v for v in c]
     return TruncatedSeries(ring, c)
-
-
-def count_by_enumeration(n: int) -> int:
-    """pbar(n) straight from the definition: sum over partitions of
-    2^(distinct part sizes).  Enumeration, so small n only."""
-    if not 0 <= n <= 60:
-        raise ValueError(f"enumeration supports 0 <= n <= 60, got {n}")
-
-    def walk(remaining, largest_allowed):
-        # choose the largest part value and its multiplicity, recurse on
-        # strictly smaller values; the chosen value is one distinct size
-        if remaining == 0:
-            return 1
-        total = 0
-        for v in range(min(remaining, largest_allowed), 0, -1):
-            picked = v
-            while picked <= remaining:
-                total += 2 * walk(remaining - picked, v - 1)
-                picked += v
-        return total
-
-    return walk(n, n)
 
 
 def generating_series(order: int, ring: CoeffRing | None = None,

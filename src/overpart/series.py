@@ -47,10 +47,6 @@ class CoeffRing:
     def mask(self) -> int | None:
         return None if self.bits is None else (1 << self.bits) - 1
 
-    def normalize(self, x: int) -> int:
-        # & on a negative int reduces into [0, 2**bits) like a true mod
-        return x if self.bits is None else x & self.mask
-
     def is_unit(self, x: int) -> bool:
         if self.bits is None:
             return x in (1, -1)

@@ -5,13 +5,12 @@ a_1^2 + ... + a_k^2 = n.  Order matters: c_2(5) = 2 counts (1,2) and (2,1).
 Row k of the table is exactly the coefficient list of S(q)^k where
 S(q) = q + q^4 + q^9 + ..., built by successive exact convolutions.
 
-ck_bruteforce recounts by direct recursive enumeration and shares no code
-with the table; it exists so the table has an independent oracle.
+The independent oracle, a direct recursive enumeration that shares no
+code with the table, is tests/oracles.ck_bruteforce.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -49,7 +48,6 @@ class RepCountTable:
         return self._rows[k - 1]
 
 
-@lru_cache(maxsize=None)
 def ck_table(kmax: int, order: int) -> RepCountTable:
     """Build the table by k-fold convolution of the square indicator."""
     if kmax < 1:
@@ -61,29 +59,6 @@ def ck_table(kmax: int, order: int) -> RepCountTable:
         power = power * s
         rows.append(power.coeffs)
     return RepCountTable(kmax, order, tuple(rows))
-
-
-def ck_bruteforce(k: int, n: int) -> int:
-    """c_k(n) by direct enumeration of ordered tuples.  Oracle only.
-
-    Exponential in k; capped to stay honest about what it can enumerate.
-    """
-    if not 1 <= k <= 8:
-        raise ValueError(f"brute force supports 1 <= k <= 8, got k={k}")
-    if not 0 <= n <= 10_000:
-        raise ValueError(f"brute force supports 0 <= n <= 10000, got n={n}")
-
-    def rec(parts_left, target):
-        if parts_left == 0:
-            return 1 if target == 0 else 0
-        total = 0
-        a = 1
-        while a * a <= target:
-            total += rec(parts_left - 1, target - a * a)
-            a += 1
-        return total
-
-    return rec(k, n)
 
 
 class SquareKind(NamedTuple):

@@ -100,3 +100,49 @@ def pbar_by_recurrence(n_max):
         for n in range(k, n_max + 1):
             c[n] += c[n - k]
     return c
+
+
+def count_by_enumeration(n):
+    """pbar(n) straight from the definition: sum over partitions of
+    2^(distinct part sizes).  Enumeration, so small n only."""
+    if not 0 <= n <= 60:
+        raise ValueError(f"enumeration supports 0 <= n <= 60, got {n}")
+
+    def walk(remaining, largest_allowed):
+        # choose the largest part value and its multiplicity, recurse on
+        # strictly smaller values; the chosen value is one distinct size
+        if remaining == 0:
+            return 1
+        total = 0
+        for v in range(min(remaining, largest_allowed), 0, -1):
+            picked = v
+            while picked <= remaining:
+                total += 2 * walk(remaining - picked, v - 1)
+                picked += v
+        return total
+
+    return walk(n, n)
+
+
+def ck_bruteforce(k, n):
+    """c_k(n), the ordered k-tuples of positive squares summing to n, by
+    direct enumeration.
+
+    Exponential in k; capped to stay honest about what it can enumerate.
+    """
+    if not 1 <= k <= 8:
+        raise ValueError(f"brute force supports 1 <= k <= 8, got k={k}")
+    if not 0 <= n <= 10_000:
+        raise ValueError(f"brute force supports 0 <= n <= 10000, got n={n}")
+
+    def rec(parts_left, target):
+        if parts_left == 0:
+            return 1 if target == 0 else 0
+        total = 0
+        a = 1
+        while a * a <= target:
+            total += rec(parts_left - 1, target - a * a)
+            a += 1
+        return total
+
+    return rec(k, n)

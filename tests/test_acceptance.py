@@ -10,15 +10,16 @@ import time
 
 import pytest
 
-from overpart import (CongruenceClaim, by_inversion, by_product,
-                      ck_bruteforce, ck_table, count_by_enumeration,
-                      scan_congruences, square_predicates, two_adic,
+from overpart import (CongruenceClaim, by_inversion, by_product, ck_table,
+                      mod2_ring, run_checks, scan_congruences,
+                      square_predicates, suite_checks, two_adic,
                       verify_4n_relations, verify_dissection_mod16,
-                      verify_ell_family, verify_progression)
+                      verify_progression)
 from overpart.congruence import (REGRESSION_CLAIMS, VERIFIED,
-                                 dissection_rhs_mod16, known_claims,
-                                 run_known_table)
+                                 dissection_rhs_mod16, known_claims)
 from overpart.theta import phi, phi_neg, psi, psi1, psi2
+
+from oracles import ck_bruteforce, count_by_enumeration
 
 
 @pytest.fixture
@@ -92,7 +93,7 @@ def test_criterion_3_theta_identities(criterion):
 
 def test_criterion_4_dissection(criterion):
     def body():
-        rep = verify_dissection_mod16(4096)
+        rep = verify_dissection_mod16(by_inversion(4096, mod2_ring(4)))
         assert rep.status == VERIFIED
         rhs = dissection_rhs_mod16(4096)
         for r in (7, 14, 15):
@@ -106,9 +107,9 @@ def test_criterion_5_progressions(criterion, pbar_mod32_20k):
         pbar = pbar_mod32_20k
         rep = verify_progression(pbar, CongruenceClaim(16, 14, 16), 10_000)
         assert rep.status == VERIFIED
-        r7 = verify_ell_family(pbar, 7, 16, 10_000)
+        r7 = run_checks(suite_checks("thm-ell:7"), pbar, 10_000)
         assert len(r7) == 6 and all(r.status == VERIFIED for r in r7)
-        r23 = verify_ell_family(pbar, 23, 16, 20_000)
+        r23 = run_checks(suite_checks("thm-ell:23"), pbar, 20_000)
         assert len(r23) == 22 and all(r.status == VERIFIED for r in r23)
 
     criterion(5, "16n+14 and ell-families mod 16", 10.0, body)
@@ -125,7 +126,7 @@ def test_criterion_6_4n_tiers(criterion, pbar_mod32_20k):
 
 def test_criterion_7_known_congruences(criterion, pbar_mod32_20k):
     def body():
-        reports = run_known_table(pbar_mod32_20k, 10_000)
+        reports = run_checks(suite_checks("known-table"), pbar_mod32_20k, 10_000)
         assert len(reports) == 107
         assert all(r.status == VERIFIED for r in reports)
         claims = {r.subject for r in reports

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from overpart import cli
 from overpart.cli import main
 
 
@@ -264,6 +265,24 @@ def test_verify_table_format(capsys):
     assert "16n+14_mod_16" in lines[1] and "Verified" in lines[1]
 
 
+# sha256 of `verify thm-ell:7 --limit 600 --source product --format FMT`
+# stdout: the source column outside JSON names the --source given
+PINNED_ROWS = {
+    "csv": "b8f729cf4950f87ae3410c41a0576de39fc130fe00546abdf7206b722a1452f4",
+    "table": "1d05e29d9740c83dd282abf9c5e615aa7e09fa63a3bfae1aca158084960c2223",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_ROWS))
+def test_verify_rows_carry_source_pinned(capsys, fmt):
+    code, out, _ = run_cli(capsys, "verify", "thm-ell:7", "--limit", "600",
+                           "--source", "product", "--format", fmt)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 6 and all(r.endswith("product") for r in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ROWS[fmt]
+
+
 # -- scan ------------------------------------------------------------------------
 
 def test_scan_labels(capsys):
@@ -307,6 +326,20 @@ def test_scan_validation(capsys):
     code, out, err = run_cli(capsys, "scan", "--mods", ",,", "--limit", "500")
     assert code == 2 and out == ""
     assert "at least one modulus from (4, 8, 16, 32, 64, 128)" in err
+    # a window of one point cannot reach the default 50 checks of any row
+    code, out, err = run_cli(capsys, "scan", "--mods", "4", "--limit", "0")
+    assert code == 2 and out == ""
+    assert "fewer than min_checks=50" in err
+
+
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+    code, out, err = run_cli(capsys, "gen", "--limit", "3")
+    assert code == 3 and out == ""
+    assert "RuntimeError: boom" in err and "internal error" in err
 
 
 # -- entry points -------------------------------------------------------------------

@@ -5,18 +5,16 @@ import json
 import pytest
 
 from overpart import (CongruenceClaim, EXACT, TruncatedSeries, mod2_ring,
-                      scan_congruences)
+                      run_checks, scan_congruences, suite_checks)
 from overpart import congruence, theta
 from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  VERIFIED, combined_family_claims,
-                                 dissection_rhs_mod16, known_claims,
-                                 mod8_family_claims, run_known_table,
-                                 verify_4n_relations, verify_combined_families,
-                                 verify_dissection_mod16, verify_ell_family,
-                                 verify_mod8_families, verify_mod8_nonsquare,
-                                 verify_progression)
+                                 dissection_rhs_mod16, ell_family_claims,
+                                 known_claims, mod8_family_claims,
+                                 verify_4n_relations, verify_dissection_mod16,
+                                 verify_mod8_nonsquare, verify_progression)
 from overpart.cli import main
-from overpart.overpartitions import by_inversion
+from overpart.overpartitions import by_inversion, by_product
 
 
 # -- claims ----------------------------------------------------------------
@@ -44,7 +42,6 @@ def test_progression_verified(pbar_mod32_20k):
     assert rep.ok
     assert rep.range_checked == 2000
     assert rep.witness is None
-    assert rep.source == "invert"
 
 
 def test_progression_counterexample(pbar_mod32_20k):
@@ -90,15 +87,25 @@ def test_report_json_shape(pbar_mod32_20k):
     rep = verify_progression(pbar_mod32_20k, CongruenceClaim(16, 14, 16), 500)
     doc = rep.as_json_dict()
     assert doc == {"claim": {"A": 16, "B": 14, "M": 16}, "status": "Verified",
-                   "range": 500, "source": "invert"}
+                   "range": 500}
     bad = verify_progression(pbar_mod32_20k, CongruenceClaim(2, 0, 4), 100)
     assert bad.as_json_dict()["witness"] == {"n": 0, "value": 1}
+
+
+def test_report_does_not_name_a_construction():
+    # a report depends only on the coefficients it read, so a series built
+    # by the product gives the inversion's report; the CLI names the source
+    claim = CongruenceClaim(16, 14, 16)
+    docs = [verify_progression(build(100, mod2_ring(32)), claim).as_json_dict()
+            for build in (by_product, by_inversion)]
+    assert docs[0] == docs[1] == {"claim": {"A": 16, "B": 14, "M": 16},
+                                  "status": "Verified", "range": 100}
 
 
 # -- theorem families ---------------------------------------------------------
 
 def test_ell_family_seven(pbar_mod32_20k):
-    reports = verify_ell_family(pbar_mod32_20k, 7, 16, 2000)
+    reports = run_checks(ell_family_claims(7, 16), pbar_mod32_20k, 2000)
     assert len(reports) == 6
     assert all(r.status == VERIFIED for r in reports)
     assert sorted(r.subject.B for r in reports) == [7, 14, 21, 28, 35, 42]
@@ -107,16 +114,16 @@ def test_ell_family_seven(pbar_mod32_20k):
 
 def test_ell_family_preconditions(pbar_mod32_20k):
     with pytest.raises(ValueError):
-        verify_ell_family(pbar_mod32_20k, 5, 16, 100)    # 5 != 7 (mod 8)
+        ell_family_claims(5, 16)    # 5 != 7 (mod 8)
     with pytest.raises(ValueError):
-        verify_ell_family(pbar_mod32_20k, 9, 8, 100)     # composite
+        ell_family_claims(9, 8)     # composite
     with pytest.raises(ValueError):
-        verify_ell_family(pbar_mod32_20k, 15, 16, 100)   # 7 (mod 8) but composite
+        ell_family_claims(15, 16)   # 7 (mod 8) but composite
     with pytest.raises(ValueError):
-        verify_ell_family(pbar_mod32_20k, 2, 8, 100)     # even
+        ell_family_claims(2, 8)     # even
     with pytest.raises(ValueError):
-        verify_ell_family(pbar_mod32_20k, 7, 32, 100)    # unsupported modulus
-    assert all(r.ok for r in verify_ell_family(pbar_mod32_20k, 5, 8, 2000))
+        ell_family_claims(7, 32)    # unsupported modulus
+    assert all(r.ok for r in run_checks(ell_family_claims(5, 8), pbar_mod32_20k, 2000))
 
 
 def test_mod8_family_claims_small_primes():
@@ -142,7 +149,7 @@ def test_mod8_family_claims_dichotomy():
 
 def test_mod8_families_verify(pbar_mod32_20k):
     for ell in (3, 5, 7):
-        reports = verify_mod8_families(pbar_mod32_20k, ell, 2000)
+        reports = run_checks(mod8_family_claims(ell), pbar_mod32_20k, 2000)
         assert all(r.status == VERIFIED for r in reports)
 
 
@@ -216,13 +223,13 @@ def test_4n_tier_validation(pbar_mod32_20k):
 # -- the 16-dissection -----------------------------------------------------------
 
 def test_dissection_verifies():
-    rep = verify_dissection_mod16(512)
+    rep = verify_dissection_mod16(by_inversion(512, mod2_ring(4)))
     assert rep.status == VERIFIED
     assert rep.subject == "dissection-mod16"
 
 
 def test_dissection_accepts_supplied_series(pbar_mod32_20k):
-    rep = verify_dissection_mod16(512, pbar_mod32_20k)
+    rep = verify_dissection_mod16(pbar_mod32_20k, 512)
     assert rep.status == VERIFIED
 
 
@@ -312,10 +319,9 @@ def test_dissection_counterexample_path():
     # against the dissection mod 16 must fail, first at pbar(2) = 4
     from overpart.overpartitions import two_adic
     shallow = two_adic(64, 1, mod2_ring(32))
-    rep = verify_dissection_mod16(64, shallow, source="2adic:1")
+    rep = verify_dissection_mod16(shallow, 64)
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness == (2, 4)
-    assert rep.source == "2adic:1"
 
 
 def test_dissection_vanishing_column_witness(monkeypatch):
@@ -326,12 +332,12 @@ def test_dissection_vanishing_column_witness(monkeypatch):
     co[14], co[23] = 3, 5
     monkeypatch.setattr(congruence, "dissection_rhs_mod16",
                         lambda order: TruncatedSeries(ring, co[:order + 1]))
-    rep = verify_dissection_mod16(40, TruncatedSeries(ring, co))
+    rep = verify_dissection_mod16(TruncatedSeries(ring, co), 40)
     assert rep.status == COUNTEREXAMPLE and rep.witness == (23, 5)
     # coefficient mismatches come before the columns: pbar(5) = 9 against 0
     co_l = list(co)
     co_l[5] = 9
-    rep = verify_dissection_mod16(40, TruncatedSeries(ring, co_l))
+    rep = verify_dissection_mod16(TruncatedSeries(ring, co_l), 40)
     assert rep.witness == (5, (0 - 9) % 16)
 
 
@@ -349,13 +355,13 @@ def test_combined_family_claims():
 
 
 def test_combined_families_verify(pbar_mod32_20k):
-    reports = verify_combined_families(pbar_mod32_20k, 2, 5000)
+    reports = run_checks(combined_family_claims(2), pbar_mod32_20k, 5000)
     assert len(reports) == 9
     assert all(r.status == VERIFIED for r in reports)
 
 
 def test_combined_families_skip_out_of_window(pbar_mod32_20k):
-    reports = verify_combined_families(pbar_mod32_20k, 2, 100)
+    reports = run_checks(combined_family_claims(2), pbar_mod32_20k, 100)
     by_claim = {(r.subject.A, r.subject.B): r.status for r in reports}
     assert by_claim[(8, 7)] == VERIFIED
     assert by_claim[(128, 112)] == SKIPPED
@@ -370,7 +376,7 @@ def test_regression_claims_pinned():
 
 
 def test_known_table_composition(pbar_mod32_20k):
-    reports = run_known_table(pbar_mod32_20k, 2000)
+    reports = run_checks(suite_checks("known-table"), pbar_mod32_20k, 2000)
     # 12 regression claims + Kim's mod-8 statement + the three mod-8
     # families at ell = 3, 5, 7, 11, 13 (4 + 12 + 12 + 30 + 36 claims)
     assert len(reports) == 107
@@ -454,3 +460,10 @@ def test_scan_validation(pbar_mod32_20k):
         scan_congruences(pbar_mod32_20k, 8, (8,), 1000, min_checks=0)
     with pytest.raises(ValueError, match="at least one modulus"):
         scan_congruences(pbar_mod32_20k, 8, (), 1000)
+    # [0, 48] holds 49 points: no row can reach the default 50 checks
+    with pytest.raises(ValueError, match="fewer than min_checks=50"):
+        scan_congruences(pbar_mod32_20k, 4, (4,), 48)
+    # [0, 49] holds 50: the A = 1 row reaches them and fails at pbar(0) = 1
+    assert scan_congruences(pbar_mod32_20k, 4, (4,), 49) == []
+    with pytest.raises(ValueError, match="fewer than min_checks=11"):
+        scan_congruences(pbar_mod32_20k, 4, (4,), 9, min_checks=11)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from overpart import (EXACT, by_inversion, by_product, count_by_enumeration,
-                      generating_series, mod2_ring, two_adic)
+from overpart import (EXACT, by_inversion, by_product, generating_series,
+                      mod2_ring, two_adic)
 from overpart.series import DEFAULT_RING
 from overpart.squares import square_predicates
 
-from oracles import pbar_by_recurrence, two_adic_by_counts
+from oracles import count_by_enumeration, pbar_by_recurrence, two_adic_by_counts
 
 FIRST_VALUES = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 

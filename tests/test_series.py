@@ -39,14 +39,6 @@ def test_ring_width_bounds(bits):
         mod2_ring(bits)
 
 
-def test_ring_normalize():
-    r = mod2_ring(4)
-    assert r.normalize(-1) == 15
-    assert r.normalize(16) == 0
-    assert r.normalize(7) == 7
-    assert EXACT.normalize(-7) == -7
-
-
 def test_unit_inverses():
     r = mod2_ring(8)
     for x in range(1, 256, 2):

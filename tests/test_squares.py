@@ -4,9 +4,11 @@ from math import isqrt
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, ck_bruteforce, ck_table, square_predicates
+from overpart import EXACT, TruncatedSeries, ck_table, square_predicates
 from overpart.squares import positive_square_series
 from overpart.theta import phi
+
+from oracles import ck_bruteforce
 
 
 def test_square_series_support():
@@ -82,10 +84,6 @@ def test_bruteforce_bounds():
     for k, n in [(0, 5), (9, 5), (2, 10_001), (2, -1)]:
         with pytest.raises(ValueError):
             ck_bruteforce(k, n)
-
-
-def test_table_is_cached():
-    assert ck_table(3, 80) is ck_table(3, 80)
 
 
 def test_predicate_examples():
