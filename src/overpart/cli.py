@@ -7,11 +7,12 @@ Subcommands: gen (coefficient dump), verify (built-in suites), ck
 Contract: data on stdout, timing on stderr, byte-identical output for
 identical invocations.  Exit 0 on success / all checks passing, 1 when a
 verification found a counterexample, 2 on usage errors, including a verify
-window that reaches no point of its suite (every check Skipped) and a scan
-window too short for --min-checks, 3 on an internal error (a bug: the
-traceback goes to stderr).  JSON output is a single document; CSV is
-unquoted.  Reports do not know which construction built their series;
-verify stamps --source on every row.
+window that reaches no point of its suite (every check Skipped), a scan
+window too short for --min-checks and a 2adic:K source asked for more than
+pbar mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
+stderr).  JSON output is a single document; CSV is unquoted.  Reports do
+not know which construction built their series; verify stamps --source
+on every row.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_source(p):
         p.add_argument("--source", default=overpartitions.INVERSION,
-                       help="series construction: invert, product, or 2adic:K")
+                       help="invert, product, or 2adic:K (pbar mod 2^(K+1))")
 
     def add_format(p, default):
         p.add_argument("--format", choices=_FORMATS, default=default)

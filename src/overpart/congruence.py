@@ -15,9 +15,9 @@ maps every suite name to its checks.
 
 One verdict rule serves every verifier: a check walks its window in order
 as (n, residue) pairs; the first nonzero residue is the Counterexample
-witness, and with none the check is Verified.  The dissection walks its
-coefficient mismatches before its vanishing columns 7, 14, 15.  Skipped
-means a progression's offset B lies past the window.
+witness, with none the check is Verified, and with no pairs at all (a
+window that holds no point of the check) it is Skipped.  The dissection
+walks its coefficient mismatches before its vanishing columns 7, 14, 15.
 """
 
 from __future__ import annotations
@@ -124,9 +124,14 @@ def _require_capacity(pbar: TruncatedSeries, modulus: int):
 
 
 def _verdict(subject, limit, t0, residues) -> VerificationReport:
-    """Counterexample at the first nonzero (n, residue) pair, else Verified."""
-    witness = next(((n, r) for n, r in residues if r), None)
-    status = VERIFIED if witness is None else COUNTEREXAMPLE
+    """Counterexample at the first nonzero (n, residue) pair, else Verified;
+    Skipped if there is no pair to check."""
+    status, witness = SKIPPED, None
+    for n, r in residues:
+        if r:
+            status, witness = COUNTEREXAMPLE, (n, r)
+            break
+        status = VERIFIED
     return VerificationReport(subject, status, limit, witness,
                               time.perf_counter() - t0)
 
@@ -137,9 +142,6 @@ def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
     t0 = time.perf_counter()
     limit = _window(pbar, limit)
     _require_capacity(pbar, claim.M)
-    if claim.B > limit:
-        return VerificationReport(claim, SKIPPED, limit, None,
-                                  time.perf_counter() - t0)
     row = pbar.coeffs[claim.B:limit + 1:claim.A]
     return _verdict(claim, limit, t0, enumerate(v % claim.M for v in row))
 
@@ -361,10 +363,10 @@ def _concat(*suites: str) -> list:
 
 # The suites of `overpart verify`: name -> the checks it runs.  A check is
 # a CongruenceClaim or the id of an identity check, the same value its
-# report carries as subject.  A name ending in ":X" takes an integer
-# parameter.  Rows hold checks, not verifier functions: run_checks looks
-# each verifier up by its module-level name when it runs, so a wrapper
-# installed on the module sees every call.
+# report carries as subject.  A name ending in ":X" or ":X,Y,Z" takes
+# that many integer parameters.  Rows hold checks, not verifier
+# functions: run_checks looks each verifier up by its module-level name
+# when it runs, so a wrapper installed on the module sees every call.
 SUITES = {
     "thm-16n14": lambda: [CongruenceClaim(16, 14, 16)],
     "thm-ell:L": lambda ell: ell_family_claims(ell, 16),
@@ -372,6 +374,8 @@ SUITES = {
     "dissection": lambda: ["dissection-mod16"],
     "kim8": lambda: ["mod8-nonsquare"],
     "families8:L": mod8_family_claims,
+    # one progression of the caller's choosing, true or not
+    "claim:A,B,M": lambda A, B, M: [CongruenceClaim(A, B, M)],
     # everything with a fixed published form
     "known-table": lambda: [*REGRESSION_CLAIMS, *_concat(
         "kim8", *(f"families8:{ell}" for ell in (3, 5, 7, 11, 13)))],
@@ -391,10 +395,13 @@ def suite_checks(suite: str) -> list:
         if not colon:
             return build()
         try:
-            param = int(tail)
+            params = [int(p) for p in tail.split(",")]
         except ValueError:
-            raise ValueError(f"suite parameter must be an integer, got {tail!r}")
-        return build(param)
+            params = []
+        if len(params) != name.count(",") + 1:
+            raise ValueError(f"suite {name} wants integers "
+                             f"{name.partition(':')[2]}, got {tail!r}")
+        return build(*params)
     raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(SUITES)}")
 
 
@@ -461,8 +468,6 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     hits = []
     for A in range(1, amax + 1):
         for B in range(A):
-            if B > limit:
-                continue
             row = co[B:limit + 1:A]
             if len(row) < min_checks:
                 continue

@@ -15,7 +15,8 @@ Constructions:
 The first two are sparse divisions, by the pentagonal (q; q)_inf and by
 the square-sparse phi(-q), and agree exactly at every order.  The
 truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
-that is its contract, and the tests exercise exactly that.
+that is its contract, so two_adic returns it in Z/2^(K+1), and
+generating_series refuses exact values or a wider ring for it.
 
 The 2-adic sum is sum_{k=0..K} X^k with X = -2 S(-q), S(q) = q + q^4 +
 q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n).
@@ -24,9 +25,7 @@ in Z/2^m on one packed integer with w-bit slots.  X has floor(sqrt(N))
 terms, +2 at odd squares and -2 at even ones, so X T is a signed sum of
 shifted copies of T: no multiply and no division.  Every slot carries a
 lift that is a multiple of 2^m and keeps it non-negative, and one `&`
-with a repeated mask then reduces all slots mod 2^m at once.  Over Z,
-m is chosen so that 2^(m-1) exceeds every |coefficient|, and residues
-at or above 2^(m-1) are lifted back to negative values.
+with a repeated mask then reduces all slots mod 2^m at once, m = K + 1.
 
 The anchor under all three, pbar(n) recounted from the definition with
 no series code, is tests/oracles.count_by_enumeration.
@@ -37,7 +36,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import theta
-from .series import DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries
+from .series import DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries, mod2_ring
 # unused here; the benchmark's tracer wraps ck_table at this attribute
 from .squares import ck_table
 
@@ -57,30 +56,20 @@ def by_inversion(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     return theta.phi_neg(order, ring).invert()
 
 
-def two_adic(order: int, depth: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """Partial 2-adic expansion through the 2^depth term.
+def two_adic(order: int, depth: int) -> TruncatedSeries:
+    """Partial 2-adic expansion through the 2^depth term, 1 <= depth <= 63.
 
-    Congruent to pbar coefficientwise mod 2^(depth+1).  A modular ring must
-    be at least depth+1 bits wide or the leading term would not even be
-    representable.
-
-    Built by Horner's rule in Z/2^m (see the module docstring), with
-    m = ring.bits in a modular ring.  Over Z, m is one bit more than the
-    bit length of sum_{k<=depth} (2r)^k, r = floor(sqrt(order)), which
-    bounds every |coefficient| since c_k(n) <= r^k.  Coefficient n sits
-    in slot order - n, so X T reads T through right shifts by s^2 slots,
-    each one bit short so that it also doubles.  Before the mask a slot
-    is below 2^(m+1) r, which fixes the slot width w.
+    Congruent to pbar coefficientwise mod 2^(depth+1) and no further, so
+    it comes in that ring.  Built by Horner's rule in Z/2^m, m = depth + 1
+    (see the module docstring).  Coefficient n sits in slot order - n, so
+    X T reads T through right shifts by s^2 slots, each one bit short so
+    that it also doubles.  Before the mask a slot is below 2^(m+1) r,
+    r = floor(sqrt(order)), which fixes the slot width w.
     """
-    if depth < 1:
-        raise ValueError(f"2-adic depth must be >= 1, got {depth}")
-    if ring.bits is not None and ring.bits < depth + 1:
-        raise ValueError(
-            f"ring {ring} too narrow for the 2^{depth} term; need >= {depth + 1} bits")
+    if not 1 <= depth <= 63:
+        raise ValueError(f"2-adic depth must be in 1..63, got {depth}")
+    m = depth + 1
     r = isqrt(order)
-    m = ring.bits
-    if m is None:
-        m = sum((2 * r) ** k for k in range(depth + 1)).bit_length() + 1
     sb = (m + 1 + r.bit_length() + 7) // 8
     w = 8 * sb
     plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
@@ -100,31 +89,34 @@ def two_adic(order: int, depth: int, ring: CoeffRing = EXACT) -> TruncatedSeries
         t = u & mask
     data = t.to_bytes((order + 1) * sb, "big")
     c = [int.from_bytes(data[i:i + sb], "big") for i in range(0, len(data), sb)]
-    if ring.is_exact:
-        half = 1 << (m - 1)
-        c = [v - 2 * half if v >= half else v for v in c]
-    return TruncatedSeries(ring, c)
+    return TruncatedSeries(mod2_ring(m), c)
 
 
 def generating_series(order: int, ring: CoeffRing | None = None,
                       source: str = INVERSION) -> TruncatedSeries:
     """Build the pbar series from a named source.
 
-    source is "invert", "product", or "2adic:K" (truncated expansion,
-    valid mod 2^(K+1) only).  ring defaults to Z/2^32, the verification
-    workhorse; pass EXACT for true coefficients.
+    source is "invert", "product", or "2adic:K" (pbar mod 2^(K+1) only,
+    so EXACT or a ring wider than Z/2^(K+1) is refused).  ring defaults
+    to Z/2^32, the verification workhorse, or for "2adic:K" to
+    Z/2^(K+1); pass EXACT for true coefficients.
     """
+    if source.startswith(TWO_ADIC + ":"):
+        try:
+            depth = int(source.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad 2-adic source {source!r}; expected 2adic:K")
+        if ring is not None and (ring.is_exact or ring.bits > depth + 1):
+            raise ValueError(
+                f"source {source} carries pbar mod 2^{depth + 1} only; {ring} needs "
+                + ("invert or product" if ring.is_exact else f"2adic:{ring.bits - 1}"))
+        series = two_adic(order, depth)
+        return series if ring is None else series.reduce_mod(ring.bits)
     if ring is None:
         ring = DEFAULT_RING
     if source == INVERSION:
         return by_inversion(order, ring)
     if source == PRODUCT:
         return by_product(order, ring)
-    if source.startswith(TWO_ADIC + ":"):
-        try:
-            depth = int(source.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad 2-adic source {source!r}; expected 2adic:K")
-        return two_adic(order, depth, ring)
     raise ValueError(
         f"unknown source {source!r}; expected {INVERSION!r}, {PRODUCT!r}, or '2adic:K'")

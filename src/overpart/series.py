@@ -72,7 +72,7 @@ def mod2_ring(bits: int) -> CoeffRing:
 
 
 # Verification work defaults to 32 bits: wide enough for every modulus
-# in scope (<= 2^7) with room for the 2-adic construction at any K <= 31.
+# in scope (<= 2^7).  The 2-adic source carries its own Z/2^(K+1).
 DEFAULT_RING = mod2_ring(32)
 
 # Quotient coefficients per block of the division recurrence in Z/2**m.

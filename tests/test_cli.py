@@ -219,14 +219,49 @@ def test_verify_two_adic_source_matches_invert(capsys):
 
 
 def test_verify_counterexample_exits_one(capsys):
-    # a depth-1 series carries pbar only mod 4, so the mod-16 dissection
-    # comparison must report a counterexample and exit 1
-    code, out, _ = run_cli(capsys, "verify", "dissection", "--limit", "200",
-                           "--source", "2adic:1")
+    # pbar(14) = 1040 is 0 mod 16 but 16 mod 32, so the claim fails at n = 0
+    code, out, _ = run_cli(capsys, "verify", "claim:16,14,32", "--limit", "200")
     assert code == 1
     doc = json.loads(out)
     assert doc[0]["status"] == "Counterexample"
-    assert doc[0]["witness"] == {"n": 2, "value": 4}
+    assert doc[0]["witness"] == {"n": 0, "value": 16}
+
+
+def test_verify_claim_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "claim:16,14,16", "--limit", "10000")
+    assert code == 0
+    assert json.loads(out) == [{"claim": {"A": 16, "B": 14, "M": 16},
+                                "status": "Verified", "range": 10000,
+                                "source": "invert"}]
+    for suite in ("claim:16,14", "claim:16,15,12", "claim:x,14,16"):
+        code, out, err = run_cli(capsys, "verify", suite, "--limit", "200")
+        assert code == 2 and out == "" and "error:" in err, suite
+
+
+# a 2-adic source carries pbar mod 2^(K+1) only: exact values, a wider
+# --mod, or a check mod more than 2^(K+1) is a usage error, not a number
+@pytest.mark.parametrize("argv", [
+    "gen --limit 5 --exact --source 2adic:2",
+    "gen --limit 6 --mod 64 --source 2adic:3",
+    "dissect --t 16 --r 14 --limit 100 --source 2adic:3",
+    "verify thm-16n14 --limit 2000 --source 2adic:1",
+    "verify all --limit 600 --source 2adic:1",
+    "verify all --limit 600 --source 2adic:2",
+])
+def test_two_adic_precision_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
+def test_verify_zero_points_is_a_usage_error(capsys):
+    # kim8 skips squares and twice-squares, so 0..2 holds no point of it
+    for limit in ("0", "1", "2"):
+        code, out, err = run_cli(capsys, "verify", "kim8", "--limit", limit)
+        assert code == 2 and out == ""
+        assert "reaches no point of suite kim8" in err
+    code, out, _ = run_cli(capsys, "verify", "kim8", "--limit", "3")
+    assert code == 0 and json.loads(out)[0]["status"] == "Verified"
 
 
 def test_verify_all_composition(capsys):
@@ -385,9 +420,8 @@ def test_console_script(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "n,pbar\n0,1\n1,2\n2,4\n3,8\n"
     # the script's exit code is main's: 1 for a counterexample
-    proc = subprocess.run([str(exe), "verify", "dissection", "--limit", "200",
-                           "--source", "2adic:1"], capture_output=True,
-                          text=True)
+    proc = subprocess.run([str(exe), "verify", "claim:16,14,32", "--limit",
+                           "200"], capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)[0]["status"] == "Counterexample"
 

@@ -1,6 +1,8 @@
 """Claim validation, the verifiers, the dissection, and the scanner."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -100,6 +102,14 @@ def test_report_does_not_name_a_construction():
             for build in (by_product, by_inversion)]
     assert docs[0] == docs[1] == {"claim": {"A": 16, "B": 14, "M": 16},
                                   "status": "Verified", "range": 100}
+
+
+def test_check_that_walks_no_point_is_skipped(pbar_mod32_20k):
+    # 0, 1 and 2 are each a square or twice one, so kim8 checks no n there
+    for limit in (0, 1, 2):
+        rep = verify_mod8_nonsquare(pbar_mod32_20k, limit)
+        assert rep.status == SKIPPED and rep.witness is None, limit
+    assert verify_mod8_nonsquare(pbar_mod32_20k, 3).status == VERIFIED
 
 
 # -- theorem families ---------------------------------------------------------
@@ -315,11 +325,11 @@ def test_dissection_qq4_slot_regression():
 
 
 def test_dissection_counterexample_path():
-    # a depth-1 two-adic series only carries pbar mod 4; comparing it
-    # against the dissection mod 16 must fail, first at pbar(2) = 4
-    from overpart.overpartitions import two_adic
-    shallow = two_adic(64, 1, mod2_ring(32))
-    rep = verify_dissection_mod16(shallow, 64)
+    # pbar with 4 taken off pbar(2): the comparison with the dissection
+    # mod 16 must fail there, and first there
+    ring = mod2_ring(32)
+    wrong = by_inversion(64, ring) - TruncatedSeries.monomial(ring, 64, 2, 4)
+    rep = verify_dissection_mod16(wrong, 64)
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness == (2, 4)
 
@@ -381,6 +391,28 @@ def test_known_table_composition(pbar_mod32_20k):
     # families at ell = 3, 5, 7, 11, 13 (4 + 12 + 12 + 30 + 36 claims)
     assert len(reports) == 107
     assert all(r.status == VERIFIED for r in reports)
+
+
+def test_claim_suite(pbar_mod32_20k):
+    assert suite_checks("claim:16,14,32") == [CongruenceClaim(16, 14, 32)]
+    # pbar(14) = 1040 = 16 * 65: zero mod 16, not mod 32
+    rep, = run_checks(suite_checks("claim:16,14,32"), pbar_mod32_20k, 200)
+    assert rep.status == COUNTEREXAMPLE and rep.witness == (0, 16)
+    rep, = run_checks(suite_checks("claim:16,14,16"), pbar_mod32_20k, 10_000)
+    assert rep.status == VERIFIED
+    # a wrong count or a non-integer is a ValueError, never a TypeError
+    for suite in ("claim:16,14", "claim:16,14,16,2", "claim:a,b,c", "claim:",
+                  "claim", "claim:16,15,12", "thm-ell:7,1"):
+        with pytest.raises(ValueError):
+            suite_checks(suite)
+    assert CongruenceClaim(16, 14, 32) not in known_claims()
+
+
+def test_readme_suites_table_lists_every_suite():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| suite ", 1)[1].split("\n\n", 1)[0]
+    names = re.findall(r"^\| `([^`]+)`", table, re.MULTILINE)
+    assert names == list(congruence.SUITES)
 
 
 def test_known_claims_registry():

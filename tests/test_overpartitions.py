@@ -65,51 +65,60 @@ def test_residue_two_mod_four_exactly_at_squares(pbar_mod32_20k):
 
 
 def test_two_adic_depth_one_values():
-    # 1 + 2 sum (-1)^(n+1) c_1(n) q^n, written out by hand
+    # 1 + 2 sum (-1)^(n+1) c_1(n) q^n, written out by hand, in Z/4
     s = two_adic(10, 1)
-    assert s.coeffs == (1, 2, 0, 0, -2, 0, 0, 0, 0, 2, 0)
+    assert s.ring == mod2_ring(2)
+    assert s.coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0)
 
 
 @pytest.mark.parametrize("order", (0, 1, 3, 4, 8, 9, 15, 16, 17, 300, 1001))
 @pytest.mark.parametrize("depth", (1, 2, 3, 7, 31))
 def test_two_adic_matches_sum_of_counts(order, depth):
     # the orders straddle the squares where floor(sqrt(order)), and with it
-    # the slot width and the exact ring's bound, changes
-    assert two_adic(order, depth).coeffs == tuple(two_adic_by_counts(order, depth))
-    for bits in {depth + 1, 32}:
-        mask = (1 << bits) - 1
-        assert (two_adic(order, depth, mod2_ring(bits)).coeffs
-                == tuple(two_adic_by_counts(order, depth, mask)))
+    # the slot width, changes
+    mask = (1 << (depth + 1)) - 1
+    assert (two_adic(order, depth).coeffs
+            == tuple(two_adic_by_counts(order, depth, mask)))
 
 
 def test_two_adic_truncation_contract():
-    exact = by_inversion(300)
-    for depth in range(1, 6):
-        approx = two_adic(300, depth)
-        m = 1 << (depth + 1)
-        for n in range(301):
-            assert (approx[n] - exact[n]) % m == 0, (depth, n)
+    for depth in range(1, 8):
+        assert two_adic(300, depth) == by_inversion(300, mod2_ring(depth + 1))
 
 
 def test_two_adic_is_not_exact():
-    # the truncation contract is mod 2^(K+1) only; depth 3 differs from
-    # pbar in absolute value as soon as c_4 contributes
-    assert two_adic(40, 3) != by_inversion(40)
+    # the truncation contract is mod 2^(K+1) only, and the series says so
+    for depth in range(1, 64):
+        assert two_adic(20, depth).ring == mod2_ring(depth + 1)
 
 
 def test_two_adic_modular_ring_width():
+    # depth 1..63 keeps the ring Z/2^(K+1) inside Z/2^2 .. Z/2^64
+    for depth in (0, 64, -1):
+        with pytest.raises(ValueError):
+            two_adic(10, depth)
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_two_adic_source_precision_grid(depth):
+    # a 2-adic source serves any ring it carries, Z/2^j for j <= K+1, and
+    # refuses every wider one rather than return bits it does not have
+    for bits in range(1, 9):
+        ring = mod2_ring(bits)
+        if bits <= depth + 1:
+            assert (generating_series(300, ring, f"2adic:{depth}")
+                    == by_inversion(300, ring))
+        else:
+            with pytest.raises(ValueError, match=f"2adic:{bits - 1}"):
+                generating_series(300, ring, f"2adic:{depth}")
     with pytest.raises(ValueError):
-        two_adic(10, 0)
-    with pytest.raises(ValueError):
-        two_adic(10, 3, mod2_ring(3))
-    narrow = two_adic(50, 3, mod2_ring(4))
-    assert narrow == two_adic(50, 3).reduce_mod(4)
+        generating_series(300, EXACT, f"2adic:{depth}")
 
 
 def test_generating_series_sources():
     assert generating_series(50, EXACT, "product") == by_product(50)
     assert generating_series(50, EXACT, "invert") == by_inversion(50)
-    assert generating_series(50, EXACT, "2adic:3") == two_adic(50, 3)
+    assert generating_series(50, None, "2adic:3") == two_adic(50, 3)
     assert generating_series(10).ring == DEFAULT_RING
     assert generating_series(10).reduce_mod(32) == by_inversion(10).reduce_mod(32)
 
