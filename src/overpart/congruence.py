@@ -16,8 +16,15 @@ maps every suite name to its checks.
 One verdict rule serves every verifier: a check walks its window in order
 as (n, residue) pairs; the first nonzero residue is the Counterexample
 witness, with none the check is Verified, and with no pairs at all (a
-window that holds no point of the check) it is Skipped.  The dissection
-walks its coefficient mismatches before its vanishing columns 7, 14, 15.
+window that holds no point of the check) it is Skipped.  One checked
+point is enough for Verified; the report counts the pairs it walked.
+The dissection walks its coefficient mismatches before its vanishing
+columns 7, 14, 15.
+
+The scanner does not walk residues.  It reads the window once as a string
+of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
+asked for, and a progression An + B clears every M up to 2^v, where v is
+the least valuation on its slice.  Its evidence threshold is min_checks.
 """
 
 from __future__ import annotations
@@ -61,7 +68,9 @@ class VerificationReport:
 
     subject is a CongruenceClaim or a string identity id; range_checked is
     the window bound the check ran against; witness is (n, residue) for
-    the first failure, None otherwise.
+    the first failure, None otherwise; checks is the number of (n, residue)
+    pairs walked, the witness included.  checks stays out of the JSON
+    report.
     """
 
     subject: CongruenceClaim | str
@@ -69,6 +78,7 @@ class VerificationReport:
     range_checked: int
     witness: tuple[int, int] | None
     elapsed: float
+    checks: int
 
     @property
     def ok(self) -> bool:
@@ -125,15 +135,15 @@ def _require_capacity(pbar: TruncatedSeries, modulus: int):
 
 def _verdict(subject, limit, t0, residues) -> VerificationReport:
     """Counterexample at the first nonzero (n, residue) pair, else Verified;
-    Skipped if there is no pair to check."""
-    status, witness = SKIPPED, None
-    for n, r in residues:
+    Skipped if there is no pair to check.  Counts the pairs it walks."""
+    status, witness, checks = SKIPPED, None, 0
+    for checks, (n, r) in enumerate(residues, 1):
         if r:
             status, witness = COUNTEREXAMPLE, (n, r)
             break
         status = VERIFIED
     return VerificationReport(subject, status, limit, witness,
-                              time.perf_counter() - t0)
+                              time.perf_counter() - t0, checks)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
@@ -232,7 +242,9 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
 
     Tiers: mod 4 (plus sign, all n), mod 8 and mod 16 (all n), mod 32
     (n not an odd square), mod 64 (n != 1, 2, 5 mod 8), mod 128
-    (n == 0 mod 4).  Needs the series out to 4*limit.
+    (n == 0 mod 4).  Needs the series out to 4*limit.  The walk starts at
+    n = 1: at n = 0 both sides are pbar(0) for any series, which checks
+    nothing.
     """
     subject = _4n_check(modulus)
     t0 = time.perf_counter()
@@ -247,7 +259,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     signed, keeps = _4N_TIERS[modulus]
     co = pbar.coeffs
     residues = ((n, (co[4 * n] - (-co[n] if signed and n & 1 else co[n])) % modulus)
-                for n in filter(keeps, range(limit + 1)))
+                for n in filter(keeps, range(1, limit + 1)))
     return _verdict(subject, limit, t0, residues)
 
 
@@ -440,6 +452,12 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     """Every (A <= amax, 0 <= B < A, M in mods) with no counterexample in
     the window and at least min_checks tested points.
 
+    The window is read once, as one byte per n: the 2-adic valuation of
+    pbar(n), capped at j for 2^j = max(mods).  A row An + B is one slice
+    of that string; its least valuation v makes it a hit for every M <=
+    2^v in mods, so a row costs the same however many moduli are asked
+    for.  Hits come in (A, B, M) order.
+
     Finite evidence only.  B = 0 rows include n = 0, where pbar(0) = 1
     kills the claim immediately; that is intentional (a congruence that
     fails at zero is not a congruence).  Progressions with fewer than
@@ -462,18 +480,21 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
         raise ValueError(
             f"window [0, {limit}] holds {limit + 1} points, fewer than "
             f"min_checks={min_checks}: no progression can be checked")
-    _require_capacity(pbar, max(mods))
+    top = mods[-1]
+    _require_capacity(pbar, top)
     known = known_claims()
-    co = pbar.coeffs
+    # val[n] = min(v2(pbar(n)), j) for top = 2^j: c | top has lowest set
+    # bit 2^min(v2(c), j), and v2(0) counts as j
+    val = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in pbar.coeffs[:limit + 1])
+    # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
+    clears = [[M for M in mods if M <= 1 << v] for v in range(top.bit_length())]
     hits = []
     for A in range(1, amax + 1):
         for B in range(A):
-            row = co[B:limit + 1:A]
+            row = val[B::A]
             if len(row) < min_checks:
                 continue
-            for M in mods:
-                if any(v % M for v in row):
-                    continue
+            for M in clears[min(row)]:
                 claim = CongruenceClaim(A, B, M)
                 hits.append(ScanHit(claim, len(row), claim in known))
     return hits

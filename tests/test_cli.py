@@ -190,6 +190,24 @@ def test_verify_suite_output_pinned(capsys, suite, count, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 and hit count of `scan --format FMT` stdout with every other
+# setting at its default (amax 16, mods 4..64, limit 10000, min-checks 50)
+PINNED_SCAN = {
+    "json": (118, "a684dc6919e2b7ded95027bb9ad09868e97e9b9153bc69c0c9e465043056b11f"),
+    "table": (118, "729b688926c4c193af38b1b24fe7a3aa38c0d3582d7245a8a8517a3776c60428"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(PINNED_SCAN))
+def test_scan_output_pinned(capsys, fmt):
+    count, digest = PINNED_SCAN[fmt]
+    code, out, _ = run_cli(capsys, "scan", "--format", fmt)
+    assert code == 0
+    hits = json.loads(out) if fmt == "json" else out.splitlines()[1:]
+    assert len(hits) == count
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_product_source_matches_invert(capsys):
     # the two exact constructions give the same reports; only the source
     # field names which one was used
@@ -261,6 +279,15 @@ def test_verify_zero_points_is_a_usage_error(capsys):
         assert code == 2 and out == ""
         assert "reaches no point of suite kim8" in err
     code, out, _ = run_cli(capsys, "verify", "kim8", "--limit", "3")
+    assert code == 0 and json.loads(out)[0]["status"] == "Verified"
+    # every pbar(4n) tier starts at n = 1, where pbar(0) = pbar(4*0) is
+    # no evidence; the mod-128 tier keeps n == 0 (mod 4) only
+    runs = [(f"thm-4n:{m}", "0") for m in (4, 8, 16, 32, 64, 128)]
+    for suite, limit in runs + [("thm-4n:128", "3")]:
+        code, out, err = run_cli(capsys, "verify", suite, "--limit", limit)
+        assert code == 2 and out == "", (suite, limit)
+        assert f"reaches no point of suite {suite}" in err
+    code, out, _ = run_cli(capsys, "verify", "thm-4n:128", "--limit", "4")
     assert code == 0 and json.loads(out)[0]["status"] == "Verified"
 
 

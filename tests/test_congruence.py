@@ -109,7 +109,25 @@ def test_check_that_walks_no_point_is_skipped(pbar_mod32_20k):
     for limit in (0, 1, 2):
         rep = verify_mod8_nonsquare(pbar_mod32_20k, limit)
         assert rep.status == SKIPPED and rep.witness is None, limit
+        assert rep.checks == 0
     assert verify_mod8_nonsquare(pbar_mod32_20k, 3).status == VERIFIED
+
+
+def test_report_counts_the_points_it_checked(pbar_mod32_20k):
+    for A, B, M, limit in [(16, 14, 16, 2000), (8, 7, 64, 3000), (5, 2, 4, 999)]:
+        rep = verify_progression(pbar_mod32_20k, CongruenceClaim(A, B, M), limit)
+        assert rep.status == VERIFIED
+        assert rep.checks == len(range(B, limit + 1, A))
+    # pbar(16n+14) == 0 (mod 32) fails at n = 0 already; the mod-8 claims
+    # on 11n+6 and 19n+10 hold up to n = 3 and n = 7 before they fail
+    for A, B, M, n in [(16, 14, 32, 0), (11, 6, 8, 4), (19, 10, 8, 8)]:
+        rep = verify_progression(pbar_mod32_20k, CongruenceClaim(A, B, M), 2000)
+        assert rep.status == COUNTEREXAMPLE and rep.witness[0] == n
+        assert rep.checks == n + 1
+    rep = verify_progression(pbar_mod32_20k, CongruenceClaim(16, 14, 16), 13)
+    assert rep.status == SKIPPED and rep.checks == 0
+    # the count is not part of the JSON report
+    assert "checks" not in rep.as_json_dict()
 
 
 # -- theorem families ---------------------------------------------------------
@@ -185,6 +203,18 @@ def test_4n_tiers_verify(pbar_mod32_20k):
         rep = verify_4n_relations(pbar_mod32_20k, modulus, 5000)
         assert rep.status == VERIFIED, modulus
         assert rep.subject == f"4n-vs-n-mod{modulus}"
+
+
+def test_4n_tiers_skip_n_zero(pbar_mod32_20k):
+    # pbar(4*0) - pbar(0) is 0 for any series, so n = 0 checks nothing
+    for modulus in (4, 8, 16, 32, 64, 128):
+        rep = verify_4n_relations(pbar_mod32_20k, modulus, 0)
+        assert rep.status == SKIPPED and rep.checks == 0, modulus
+    # the mod-128 tier keeps n == 0 (mod 4) only: 1..3 holds none of it
+    assert verify_4n_relations(pbar_mod32_20k, 128, 3).status == SKIPPED
+    rep = verify_4n_relations(pbar_mod32_20k, 128, 4)
+    assert rep.status == VERIFIED and rep.checks == 1
+    assert verify_4n_relations(pbar_mod32_20k, 4, 100).checks == 100
 
 
 def test_4n_tier_filters_are_necessary(pbar_mod32_20k):
@@ -499,3 +529,43 @@ def test_scan_validation(pbar_mod32_20k):
     assert scan_congruences(pbar_mod32_20k, 4, (4,), 49) == []
     with pytest.raises(ValueError, match="fewer than min_checks=11"):
         scan_congruences(pbar_mod32_20k, 4, (4,), 9, min_checks=11)
+
+
+def _zero_column(series, A, B):
+    """series with every coefficient on An + B set to 0."""
+    return TruncatedSeries(series.ring, [0 if n % A == B else c
+                                         for n, c in enumerate(series.coeffs)])
+
+
+# the scanner reads 2-adic valuations and the verifier reads residues;
+# they share no code, so each is checked against the other
+SCAN_SERIES = {
+    "pbar mod 2^7": lambda: by_inversion(800, mod2_ring(7)),
+    "pbar mod 2^32": lambda: by_inversion(800, mod2_ring(32)),
+    "pbar exact": lambda: by_inversion(800, EXACT),
+    "phi(-q) exact": lambda: theta.phi_neg(800, EXACT),
+    # a row of zeros has valuation j, so it clears the largest modulus too
+    "pbar mod 2^7, 7n+3 zeroed": lambda: _zero_column(
+        by_inversion(800, mod2_ring(7)), 7, 3),
+}
+
+
+@pytest.mark.parametrize("mods", [(4, 8, 16, 32, 64, 128), (4, 16)],
+                         ids=["4..128", "4,16"])
+@pytest.mark.parametrize("name", sorted(SCAN_SERIES))
+def test_scan_hits_are_the_verified_progressions(name, mods):
+    series = SCAN_SERIES[name]()
+    # A = 12 rows hold 67 points for B <= 8 and 66 beyond
+    amax, limit, min_checks = 12, 800, 67
+    verified = {}
+    for A in range(1, amax + 1):
+        for B in range(A):
+            for M in mods:
+                rep = verify_progression(series, CongruenceClaim(A, B, M), limit)
+                if rep.status == VERIFIED and rep.checks >= min_checks:
+                    verified[(A, B, M)] = rep.checks
+    hits = scan_congruences(series, amax, mods, limit, min_checks)
+    keys = [(h.claim.A, h.claim.B, h.claim.M) for h in hits]
+    assert keys == sorted(verified)
+    assert {k: h.checks for k, h in zip(keys, hits)} == verified
+    assert verified  # each grid has hits to compare
