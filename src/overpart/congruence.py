@@ -13,6 +13,11 @@ does not record which one was used.  Checks are run by name through one
 entry point: run_checks(suite_checks(name), pbar, limit), where SUITES
 maps every suite name to its checks.
 
+One window rule serves every check and the scanner: the window is
+[0, limit], by default the widest the series holds, and a negative
+limit, a series that stops short of it (a pbar(4n) tier reads out to
+q^(4*limit)) or a ring too narrow for the check's modulus is an error.
+
 One verdict rule serves every verifier: a check walks its window in order
 as (n, residue) pairs; the first nonzero residue is the Counterexample
 witness, with none the check is Verified, and with no pairs at all (a
@@ -29,7 +34,6 @@ the least valuation on its slice.  Its evidence threshold is min_checks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import chain
 
@@ -77,7 +81,6 @@ class VerificationReport:
     status: str
     range_checked: int
     witness: tuple[int, int] | None
-    elapsed: float
     checks: int
 
     @property
@@ -115,25 +118,25 @@ class ScanHit:
         }
 
 
-def _window(pbar: TruncatedSeries, limit: int | None) -> int:
+def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
+            reach: int = 1) -> int:
+    """The window bound of a check that reads residues mod modulus out to
+    q^(reach*limit); limit None is the widest window the series holds."""
     if limit is None:
-        return pbar.order
+        limit = pbar.order // reach
     if limit < 0:
         raise ValueError(f"window bound must be >= 0, got {limit}")
-    if limit > pbar.order:
-        raise ValueError(
-            f"window {limit} exceeds series truncation order {pbar.order}")
-    return limit
-
-
-def _require_capacity(pbar: TruncatedSeries, modulus: int):
+    if reach * limit > pbar.order:
+        raise ValueError(f"window {limit} needs coefficients to q^{reach * limit}, "
+                         f"series stops at q^{pbar.order}")
     bits = pbar.ring.bits
     if bits is not None and (1 << bits) < modulus:
         raise ValueError(
             f"series ring {pbar.ring} cannot resolve residues mod {modulus}")
+    return limit
 
 
-def _verdict(subject, limit, t0, residues) -> VerificationReport:
+def _verdict(subject, limit, residues) -> VerificationReport:
     """Counterexample at the first nonzero (n, residue) pair, else Verified;
     Skipped if there is no pair to check.  Counts the pairs it walks."""
     status, witness, checks = SKIPPED, None, 0
@@ -142,18 +145,15 @@ def _verdict(subject, limit, t0, residues) -> VerificationReport:
             status, witness = COUNTEREXAMPLE, (n, r)
             break
         status = VERIFIED
-    return VerificationReport(subject, status, limit, witness,
-                              time.perf_counter() - t0, checks)
+    return VerificationReport(subject, status, limit, witness, checks)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
                        limit: int | None = None) -> VerificationReport:
     """Check one claim for every n with A*n + B <= limit."""
-    t0 = time.perf_counter()
-    limit = _window(pbar, limit)
-    _require_capacity(pbar, claim.M)
+    limit = _window(pbar, limit, claim.M)
     row = pbar.coeffs[claim.B:limit + 1:claim.A]
-    return _verdict(claim, limit, t0, enumerate(v % claim.M for v in row))
+    return _verdict(claim, limit, enumerate(v % claim.M for v in row))
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -202,12 +202,10 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
 def verify_mod8_nonsquare(pbar: TruncatedSeries,
                           limit: int | None = None) -> VerificationReport:
     """pbar(n) == 0 (mod 8) whenever n is neither a square nor twice one."""
-    t0 = time.perf_counter()
-    limit = _window(pbar, limit)
-    _require_capacity(pbar, 8)
+    limit = _window(pbar, limit, 8)
     co = pbar.coeffs
     residues = ((n, co[n] % 8) for n in filter(_off_squares, range(limit + 1)))
-    return _verdict("mod8-nonsquare", limit, t0, residues)
+    return _verdict("mod8-nonsquare", limit, residues)
 
 
 def _off_squares(n: int) -> bool:
@@ -247,20 +245,12 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     nothing.
     """
     subject = _4n_check(modulus)
-    t0 = time.perf_counter()
-    if limit is None:
-        limit = pbar.order // 4
-    if limit < 0:
-        raise ValueError(f"window bound must be >= 0, got {limit}")
-    if 4 * limit > pbar.order:
-        raise ValueError(
-            f"tier needs coefficients to 4*{limit}, series stops at {pbar.order}")
-    _require_capacity(pbar, modulus)
+    limit = _window(pbar, limit, modulus, reach=4)
     signed, keeps = _4N_TIERS[modulus]
     co = pbar.coeffs
     residues = ((n, (co[4 * n] - (-co[n] if signed and n & 1 else co[n])) % modulus)
                 for n in filter(keeps, range(1, limit + 1)))
-    return _verdict(subject, limit, t0, residues)
+    return _verdict(subject, limit, residues)
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -278,21 +268,21 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     A^12 / D^16, are then interleaved: coefficient k of slot j is the
     coefficient of q^(16k + j), cut at q^order.
     """
-    if order < 16:
-        raise ValueError(f"dissection needs order >= 16, got {order}")
     ring = mod2_ring(4)
     m = order // 16
     A = theta.phi(m, ring)
-    P = theta.psi(m, ring).substitute_power(2)
+    # the q^4 slot carries psi(q^16)^2, the one piece not expressible in
+    # the q^16/q^32 pieces A, P, P1, P2, D; with psi(q^32)^2 in its place
+    # the q^36 coefficient comes out wrong (the two differ by
+    # 8*q^4*A^5*(...), visible mod 16 because this slot's prefactor is 2,
+    # not 8)
+    W = theta.psi(m, ring)
+    P = W.substitute_power(2)
     P1 = theta.psi1(m, ring)
     P2 = theta.psi2(m, ring)
     D = theta.phi_neg(m, ring)
-    x = TruncatedSeries.monomial(ring, m, 1)
-    # the q^4 slot carries psi(q^16)^2, the one piece not expressible in
-    # the q^16/q^32 pieces above; with psi(q^32)^2 in its place the q^36
-    # coefficient comes out wrong (the two differ by 8*q^4*A^5*(...),
-    # visible mod 16 because this slot's prefactor is 2, not 8)
-    W = theta.psi(m, ring)
+    # x needs order >= 1 to exist; below 16 the products cut it back to m = 0
+    x = TruncatedSeries.monomial(ring, max(m, 1), 1)
 
     combo = x * P2 * P2 + P1 * P1  # q^16 psi2^2 + psi1^2, shows up four times
     Asq = A * A
@@ -325,15 +315,12 @@ def verify_dissection_mod16(pbar: TruncatedSeries,
     """Rebuild the pbar series mod 16 from the theta-piece dissection and
     compare coefficientwise; also require the q^(16n+7), q^(16n+14) and
     q^(16n+15) columns of the rebuilt series to vanish identically."""
-    t0 = time.perf_counter()
-    limit = _window(pbar, limit)
-    _require_capacity(pbar, 16)
+    limit = _window(pbar, limit, 16)
     rhs = dissection_rhs_mod16(limit).coeffs
-    lhs = pbar.reduce_mod(4).coeffs
     # zip stops at the end of rhs, q^limit
-    mismatches = ((n, (r - l) % 16) for n, (r, l) in enumerate(zip(rhs, lhs)))
+    mismatches = ((n, (r - l) % 16) for n, (r, l) in enumerate(zip(rhs, pbar.coeffs)))
     columns = ((16 * k + j, v) for j in (7, 14, 15) for k, v in enumerate(rhs[j::16]))
-    return _verdict("dissection-mod16", limit, t0, chain(mismatches, columns))
+    return _verdict("dissection-mod16", limit, chain(mismatches, columns))
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
@@ -475,13 +462,12 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
         raise ValueError(f"amax must be >= 1, got {amax}")
     if min_checks < 1:
         raise ValueError(f"min_checks must be >= 1, got {min_checks}")
-    limit = _window(pbar, limit)
+    top = mods[-1]
+    limit = _window(pbar, limit, top)
     if limit + 1 < min_checks:
         raise ValueError(
             f"window [0, {limit}] holds {limit + 1} points, fewer than "
             f"min_checks={min_checks}: no progression can be checked")
-    top = mods[-1]
-    _require_capacity(pbar, top)
     known = known_claims()
     # val[n] = min(v2(pbar(n)), j) for top = 2^j: c | top has lowest set
     # bit 2^min(v2(c), j), and v2(0) counts as j

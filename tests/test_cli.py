@@ -190,6 +190,24 @@ def test_verify_suite_output_pinned(capsys, suite, count, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the stdout of the two verify runs the benchmark times, so that
+# a change to a verifier's window or walk shows beyond --limit 600
+PINNED_VERIFY_RUNS = {
+    "verify all --limit 10000":
+        "166e40d0cbb030e9e90e2a4ca9d99fabe03150deb48a8dd8b9ae4453a6815193",
+    "verify all --limit 1500 --source 2adic:31":
+        "bd9e8883073a95a96774971a0e524e6e4d6735e74c0d425e9626ad27a80db819",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_VERIFY_RUNS))
+def test_verify_run_output_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert len(json.loads(out)) == 152
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_RUNS[argv]
+
+
 # sha256 and hit count of `scan --format FMT` stdout with every other
 # setting at its default (amax 16, mods 4..64, limit 10000, min-checks 50)
 PINNED_SCAN = {
@@ -308,6 +326,17 @@ def test_verify_all_composition(capsys):
     # claims come sorted, identity ids after them
     keys = [(c["A"], c["B"], c["M"]) for c in claims]
     assert keys == sorted(keys)
+
+
+def test_verify_dissection_runs_below_order_16(capsys):
+    # the dissection checks q^0 already, so no window is too short for it
+    for suite, limit in [("dissection", "0"), ("dissection", "15"), ("all", "0"),
+                         ("all", "15")]:
+        code, out, _ = run_cli(capsys, "verify", suite, "--limit", limit)
+        assert code == 0, (suite, limit)
+        doc = {r["claim"]: r["status"] for r in json.loads(out)
+               if isinstance(r["claim"], str)}
+        assert doc["dissection-mod16"] == "Verified"
 
 
 def test_verify_all_skipped_is_a_usage_error(capsys):

@@ -77,6 +77,34 @@ def test_window_validation(pbar_mod32_20k):
         verify_progression(small, CongruenceClaim(4, 3, 8), -1)
 
 
+# every verifier and the scanner, with the modulus it reads and how far
+# past its window it reads (a pbar(4n) tier reads out to q^(4*limit))
+WINDOWED = {
+    "progression": (lambda s, lim: verify_progression(
+        s, CongruenceClaim(16, 14, 16), lim), 16, 1),
+    "mod8-nonsquare": (verify_mod8_nonsquare, 8, 1),
+    "dissection": (verify_dissection_mod16, 16, 1),
+    "4n-mod32": (lambda s, lim: verify_4n_relations(s, 32, lim), 32, 4),
+    "scan": (lambda s, lim: scan_congruences(s, 4, [4, 16], lim, min_checks=1), 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_one_window_rule(name):
+    check, modulus, reach = WINDOWED[name]
+    pbar = by_inversion(100, mod2_ring(8))
+    widest = 100 // reach
+    check(pbar, widest)
+    with pytest.raises(ValueError, match="window bound must be >= 0, got -1"):
+        check(pbar, -1)
+    past = widest + 1
+    with pytest.raises(ValueError, match=rf"window {past} needs coefficients to "
+                       rf"q\^{reach * past}, series stops at q\^100"):
+        check(pbar, past)
+    with pytest.raises(ValueError, match=f"cannot resolve residues mod {modulus}"):
+        check(by_inversion(100, mod2_ring(2)), widest)
+
+
 def test_ring_capacity_check():
     narrow = by_inversion(50, mod2_ring(2))
     with pytest.raises(ValueError):
@@ -325,9 +353,11 @@ def test_dissection_rhs_matches_q_assembly(order):
     assert rhs == by_inversion(order, mod2_ring(4))
 
 
-def test_dissection_rhs_order_check():
-    with pytest.raises(ValueError):
-        dissection_rhs_mod16(15)
+def test_dissection_rhs_at_every_small_order():
+    # below q^16 every piece is its constant term in x = q^16, and the
+    # rebuilt series is still pbar mod 16, down to order 0
+    for order in range(41):
+        assert dissection_rhs_mod16(order) == by_inversion(order, mod2_ring(4)), order
 
 
 def test_dissection_qq4_slot_regression():
