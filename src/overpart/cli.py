@@ -150,8 +150,8 @@ def _report_rows(reports, source):
 
 def cmd_verify(args) -> tuple[str, int]:
     checks = congruence.suite_checks(args.suite)
-    order = congruence.series_order(checks, args.limit)
-    pbar = overpartitions.generating_series(order, None, args.source)
+    order, ring = congruence.series_order(checks, args.limit)
+    pbar = overpartitions.generating_series(order, ring, args.source)
     reports = congruence.run_checks(checks, pbar, args.limit)
     if all(r.status == congruence.SKIPPED for r in reports):
         raise ValueError(f"--limit {args.limit} reaches no point of suite "
@@ -170,7 +170,8 @@ def cmd_scan(args) -> tuple[str, int]:
         mods = [int(m) for m in args.mods.split(",") if m.strip()]
     except ValueError:
         raise ValueError(f"--mods wants comma-separated integers, got {args.mods!r}")
-    pbar = overpartitions.generating_series(args.limit, None, overpartitions.INVERSION)
+    pbar = overpartitions.generating_series(args.limit, congruence.SCAN_RING,
+                                            overpartitions.INVERSION)
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
     if args.format == "json":

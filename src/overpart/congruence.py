@@ -39,7 +39,7 @@ from itertools import chain
 
 from . import theta
 from .numtheory import is_prime, is_qnr, jacobi
-from .series import TruncatedSeries, mod2_ring
+from .series import CoeffRing, TruncatedSeries, mod2_ring
 from .squares import square_predicates
 
 VERIFIED = "Verified"
@@ -47,6 +47,8 @@ COUNTEREXAMPLE = "Counterexample"
 SKIPPED = "Skipped"
 
 _SCAN_MODULI = (4, 8, 16, 32, 64, 128)
+# the ring of the widest scan modulus, Z/2^7: every scan reads no more
+SCAN_RING = mod2_ring(max(_SCAN_MODULI).bit_length() - 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -404,12 +406,25 @@ def suite_checks(suite: str) -> list:
     raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(SUITES)}")
 
 
-def series_order(checks, limit: int) -> int:
-    """The order a series needs to run checks over the window [0, limit]:
-    a pbar(4n) tier reads coefficients out to 4*limit."""
-    if any(isinstance(c, str) and c.startswith(_4N_PREFIX) for c in checks):
-        return 4 * limit
-    return limit
+def _check_modulus(check) -> int:
+    """The modulus of the residues a check reads."""
+    if isinstance(check, CongruenceClaim):
+        return check.M
+    if check == "mod8-nonsquare":
+        return 8
+    if check == "dissection-mod16":
+        return 16
+    return int(check[len(_4N_PREFIX):])
+
+
+def series_order(checks, limit: int) -> tuple[int, CoeffRing]:
+    """The order and ring a series needs to run checks over the window
+    [0, limit]: a pbar(4n) tier reads coefficients out to 4*limit, and the
+    ring is Z/2^j for 2^j the largest modulus the checks read."""
+    reach = 4 if any(isinstance(c, str) and c.startswith(_4N_PREFIX)
+                     for c in checks) else 1
+    top = max(map(_check_modulus, checks))
+    return reach * limit, mod2_ring(top.bit_length() - 1)
 
 
 def run_checks(checks, pbar: TruncatedSeries,

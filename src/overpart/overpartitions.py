@@ -16,7 +16,8 @@ The first two are sparse divisions, by the pentagonal (q; q)_inf and by
 the square-sparse phi(-q), and agree exactly at every order.  The
 truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
 that is its contract, so two_adic returns it in Z/2^(K+1), and
-generating_series refuses exact values or a wider ring for it.
+generating_series refuses exact values or a wider ring for it.  Asked
+for a narrower ring Z/2^j, generating_series builds depth j - 1 only.
 
 The 2-adic sum is sum_{k=0..K} X^k with X = -2 S(-q), S(q) = q + q^4 +
 q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n).
@@ -56,6 +57,11 @@ def by_inversion(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     return theta.phi_neg(order, ring).invert()
 
 
+def _check_depth(depth: int):
+    if not 1 <= depth <= 63:
+        raise ValueError(f"2-adic depth must be in 1..63, got {depth}")
+
+
 def two_adic(order: int, depth: int) -> TruncatedSeries:
     """Partial 2-adic expansion through the 2^depth term, 1 <= depth <= 63.
 
@@ -66,8 +72,7 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     that it also doubles.  Before the mask a slot is below 2^(m+1) r,
     r = floor(sqrt(order)), which fixes the slot width w.
     """
-    if not 1 <= depth <= 63:
-        raise ValueError(f"2-adic depth must be in 1..63, got {depth}")
+    _check_depth(depth)
     m = depth + 1
     r = isqrt(order)
     sb = (m + 1 + r.bit_length() + 7) // 8
@@ -96,22 +101,27 @@ def generating_series(order: int, ring: CoeffRing | None = None,
                       source: str = INVERSION) -> TruncatedSeries:
     """Build the pbar series from a named source.
 
-    source is "invert", "product", or "2adic:K" (pbar mod 2^(K+1) only,
-    so EXACT or a ring wider than Z/2^(K+1) is refused).  ring defaults
-    to Z/2^32, the verification workhorse, or for "2adic:K" to
-    Z/2^(K+1); pass EXACT for true coefficients.
+    source is "invert", "product", or "2adic:K", 1 <= K <= 63.  ring
+    defaults to Z/2^32, the library default, or for "2adic:K" to
+    Z/2^(K+1); pass EXACT for true coefficients.  "2adic:K" carries pbar
+    mod 2^(K+1) only, so EXACT or a ring wider than Z/2^(K+1) is refused.
+    Asked for Z/2^j with j <= K+1, it is built at depth max(1, j - 1)
+    alone: the terms past that depth are 0 mod 2^j.
     """
     if source.startswith(TWO_ADIC + ":"):
         try:
             depth = int(source.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad 2-adic source {source!r}; expected 2adic:K")
-        if ring is not None and (ring.is_exact or ring.bits > depth + 1):
+        _check_depth(depth)
+        if ring is None:
+            return two_adic(order, depth)
+        if ring.is_exact or ring.bits > depth + 1:
             raise ValueError(
                 f"source {source} carries pbar mod 2^{depth + 1} only; {ring} needs "
                 + ("invert or product" if ring.is_exact else f"2adic:{ring.bits - 1}"))
-        series = two_adic(order, depth)
-        return series if ring is None else series.reduce_mod(ring.bits)
+        series = two_adic(order, max(1, ring.bits - 1))
+        return series if series.ring == ring else series.reduce_mod(ring.bits)
     if ring is None:
         ring = DEFAULT_RING
     if source == INVERSION:

@@ -8,19 +8,21 @@ Binary operations require the two operands to share a ring and truncate
 the result to the shorter operand's order.  Division a / d is the one
 recurrence in the package, with inversion as 1 / d, and it groups the
 terms of d by value: one add per term plus one multiply per distinct
-value.  In Z/2**m it runs in blocks of _BLOCK = 64 coefficients.  Lags
-below 64 are added one coefficient at a time; each lag of 64 or more
-reads only finished blocks, so it is summed for a whole block at once as
-a slice of one packed byte buffer.  A dense divisor with all-distinct
-coefficients then pays one slice per term and block rather than one
-multiply per term and coefficient.  In Z the coefficients grow without
-bound, no fixed slot width holds them, and the whole series is one
-block.  All series are immutable.
+value.  In Z/2**m it runs in blocks of B coefficients, B = _block(order)
+a power of two near sqrt(order) and at least 64.  Lags below B are added
+one coefficient at a time; each lag of B or more reads only finished
+blocks, so it is summed for a whole block at once as a slice of one
+packed byte buffer.  A dense divisor with all-distinct coefficients then
+pays one slice per term and block rather than one multiply per term and
+coefficient.  In Z the coefficients grow without bound, no fixed slot
+width holds them, and the whole series is one block.  All series are
+immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Sequence
 
 
@@ -71,13 +73,24 @@ def mod2_ring(bits: int) -> CoeffRing:
     return CoeffRing(bits)
 
 
-# Verification work defaults to 32 bits: wide enough for every modulus
-# in scope (<= 2^7).  The 2-adic source carries its own Z/2^(K+1).
+# The library default when a caller names no ring: wide enough for every
+# modulus in scope (<= 2^7).  The CLI builds each run in the ring its
+# checks read instead (congruence.series_order), and the 2-adic source
+# carries its own Z/2^(K+1).
 DEFAULT_RING = mod2_ring(32)
 
-# Quotient coefficients per block of the division recurrence in Z/2**m.
-# 32 was slower on 1 / phi(-q) mod 2^32 at 4*10^4, and 128 no faster.
-_BLOCK = 64
+
+def _block(order: int) -> int:
+    """Quotient coefficients per block of the division recurrence in Z/2**m:
+    the least power of two above sqrt(order), and at least 64.
+
+    A block costs one slice per far term and one unpack, and the per-n
+    loop one add per near term, so the two balance near sqrt(order).  It
+    picks 256 at 4*10^4 and 1024 at 4*10^5.  Timing 1 / phi(-q) mod 2^7,
+    blocks from about sqrt(order) / 2 to 2 sqrt(order) were within noise
+    of each other at both orders, and 64 was slower at 4*10^4.
+    """
+    return max(64, 1 << isqrt(order).bit_length())
 
 
 def _pack(vals: Sequence[int], sb: int) -> int:
@@ -254,9 +267,9 @@ class TruncatedSeries:
             c(n) = d(0)^-1 * (a(n) - sum_v v * sum_{i in S_v, i <= n} c(n - i))
 
         where S_v holds the exponents i >= 1 with d(i) = v.  The quotient
-        is built in blocks [b, e) of _BLOCK coefficients.  A near lag
-        i < _BLOCK is added in the per-n loop, one add per term and one
-        multiply per distinct value.  A far lag i >= _BLOCK reads only
+        is built in blocks [b, e) of B = _block(order) coefficients.  A
+        near lag i < B is added in the per-n loop, one add per term and one
+        multiply per distinct value.  A far lag i >= B reads only
         coefficients of earlier blocks, so for each block and each value v
         the far terms are summed once for the whole block: c is kept
         packed in a little-endian byte buffer, each lag contributes one
@@ -279,7 +292,7 @@ class TruncatedSeries:
         if bits is None:
             m, block = -1, order + 1  # x & -1 == x; one block, no far lags
         else:
-            m, block = self.ring.mask, _BLOCK
+            m, block = self.ring.mask, _block(order)
         nfar = sum(1 for x in d[block:order + 1] if x)
         # w bytes per slot (0 in Z); the buffer opens with block - 1 zero
         # slots, so a far lag that reaches before q^0 reads zeros

@@ -216,6 +216,18 @@ PINNED_SCAN = {
 }
 
 
+# sha256 of the whole stdout of the scan the benchmark times (scan-wide);
+# the benchmark's own digest covers only the (A, B, M, checks) of its hits
+PINNED_SCAN_WIDE = "791db480c7bb5ed5577cbda27ffc7f6615bc0fa3d0baff4be5b65ba1ddfb23a3"
+
+
+def test_scan_wide_output_pinned(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--amax", "128", "--mods",
+                           "4,8,16,32,64,128", "--limit", "20000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SCAN_WIDE
+
+
 @pytest.mark.parametrize("fmt", sorted(PINNED_SCAN))
 def test_scan_output_pinned(capsys, fmt):
     count, digest = PINNED_SCAN[fmt]
@@ -283,11 +295,33 @@ def test_verify_claim_suite(capsys):
     "verify thm-16n14 --limit 2000 --source 2adic:1",
     "verify all --limit 600 --source 2adic:1",
     "verify all --limit 600 --source 2adic:2",
+    "verify all --limit 100 --source 2adic:64",
+    "gen --limit 3 --mod 2 --source 2adic:0",
 ])
 def test_two_adic_precision_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert "error:" in err
+
+
+def test_verify_builds_the_ring_its_checks_read(capsys):
+    # verify all reads residues mod 2^7 at most, so 2adic:6 is as good as
+    # 2adic:31 and 2adic:5 is one bit short; thm-16n14 reads mod 16 only
+    reports = {}
+    for source in ("2adic:6", "2adic:31"):
+        code, out, _ = run_cli(capsys, "verify", "all", "--limit", "1500",
+                               "--source", source)
+        assert code == 0
+        reports[source] = json.loads(out)
+        assert all(r.pop("source") == source for r in reports[source])
+    assert reports["2adic:6"] == reports["2adic:31"]
+    code, out, err = run_cli(capsys, "verify", "all", "--limit", "1500",
+                             "--source", "2adic:5")
+    assert code == 2 and out == ""
+    assert "source 2adic:5 carries pbar mod 2^6 only; Z/2^7 needs 2adic:6" in err
+    code, out, _ = run_cli(capsys, "verify", "thm-16n14", "--limit", "2000",
+                           "--source", "2adic:3")
+    assert code == 0 and json.loads(out)[0]["status"] == "Verified"
 
 
 def test_verify_zero_points_is_a_usage_error(capsys):

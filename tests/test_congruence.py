@@ -468,6 +468,18 @@ def test_claim_suite(pbar_mod32_20k):
     assert CongruenceClaim(16, 14, 32) not in known_claims()
 
 
+@pytest.mark.parametrize("suite, order, bits", [
+    ("all", 4 * 500, 7),            # the mod-128 tier reads out to q^(4n)
+    ("thm-16n14", 500, 4),
+    ("kim8", 500, 3),
+    ("dissection", 500, 4),
+    ("thm-4n:4", 4 * 500, 2),
+    ("claim:16,14,32", 500, 5),
+])
+def test_series_order_gives_the_ring_the_checks_read(suite, order, bits):
+    assert congruence.series_order(suite_checks(suite), 500) == (order, mod2_ring(bits))
+
+
 def test_readme_suites_table_lists_every_suite():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("| suite ", 1)[1].split("\n\n", 1)[0]

@@ -115,6 +115,19 @@ def test_two_adic_source_precision_grid(depth):
         generating_series(300, EXACT, f"2adic:{depth}")
 
 
+def test_two_adic_source_builds_only_the_depth_its_ring_reads():
+    # the terms past depth j - 1 are 0 mod 2^j, so a deep source asked
+    # for Z/2^j is built at that depth; depth 1 is the floor
+    assert generating_series(300, mod2_ring(4), "2adic:31") == two_adic(300, 3)
+    assert generating_series(300, mod2_ring(7), "2adic:6") == two_adic(300, 6)
+    assert (generating_series(300, mod2_ring(1), "2adic:31")
+            == two_adic(300, 1).reduce_mod(1))
+    # the depth is checked before it is clamped
+    for ring, depth in ((mod2_ring(1), 0), (mod2_ring(7), 64), (mod2_ring(7), -1)):
+        with pytest.raises(ValueError, match="2-adic depth must be in 1..63"):
+            generating_series(10, ring, f"2adic:{depth}")
+
+
 def test_generating_series_sources():
     assert generating_series(50, EXACT, "product") == by_product(50)
     assert generating_series(50, EXACT, "invert") == by_inversion(50)

@@ -296,17 +296,17 @@ def late_unit_series(rng, ring, order):
 
 RINGS = [EXACT, mod2_ring(1), mod2_ring(4), M32, mod2_ring(64)]
 RING_IDS = ["Z", "Z/2", "Z/2^4", "Z/2^32", "Z/2^64"]
-B = series._BLOCK
+B = series._block(0)  # the block at every order below 4096
 # around the block edges, and one order that is not a multiple of B
 EDGE_ORDERS = (B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 1001)
 
 
-def straddle_unit_series(rng, ring, order):
+def straddle_unit_series(rng, ring, order, block=B):
     # terms on both sides of every block edge, so lags cross from the
-    # per-n loop into the packed far sums at B and at 2B, 3B, ...
+    # per-n loop into the packed far sums at block and at 2, 3, ... blocks
     c = [0] * (order + 1)
     c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 32, 2)
-    for edge in range(B, order + 2, B):
+    for edge in range(block, order + 2, block):
         for i in (edge - 1, edge, edge + 1):
             if i <= order:
                 c[i] = rng.choice([-2, -1, 1, 2, 3])
@@ -329,19 +329,30 @@ def test_division_by_grouped_values_matches_schoolbook(ring, make):
         assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 63])
+@pytest.mark.parametrize("block", [1, 2, 3, 63, 128, 256, 512, 1024])
 @pytest.mark.parametrize("ring", RINGS[1:], ids=RING_IDS[1:])
 def test_division_matches_schoolbook_at_any_block_size(monkeypatch, ring, block):
     # small blocks make nearly every lag far and put many edges in a
-    # short series; the quotient must not depend on where they fall
-    monkeypatch.setattr(series, "_BLOCK", block)
+    # short series; the blocks _block picks at large orders are tried at
+    # orders on both sides of B and 2B.  The quotient must not depend on
+    # where the edges fall.
+    monkeypatch.setattr(series, "_block", lambda order: block)
+    orders = (0, 1, 5, 64, 130) if block < B else (block + 1, 2 * block + 1)
+    makes = (sparse_unit_series, distinct_unit_series,
+             lambda rng, ring, n: straddle_unit_series(rng, ring, n, max(block, B)))
     rng = random.Random(39)
-    for n in (0, 1, 5, 64, 130):
-        for make in (sparse_unit_series, distinct_unit_series, straddle_unit_series):
+    for n in orders:
+        for make in makes:
             a = rand_series(rng, ring, n, lo=0, hi=10**6)
             d = make(rng, ring, n)
             inv = schoolbook_invert(list(d.coeffs), ring.mask)
             assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
+
+
+def test_block_rule_picks():
+    # the least power of two above sqrt(order), and at least 64
+    assert [series._block(n) for n in (0, 1000, 4095, 4096, 4 * 10**4, 4 * 10**5)] \
+        == [64, 64, 64, 128, 256, 1024]
 
 
 @pytest.mark.parametrize("ring", [EXACT, M32], ids=["Z", "Z/2^32"])
