@@ -12,7 +12,10 @@ window too short for --min-checks and a 2adic:K source asked for more than
 pbar mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
 stderr).  JSON output is a single document; CSV is unquoted.  Reports do
 not know which construction built their series; verify stamps --source
-on every row.
+on every row.  scan checks its arguments before it builds the series,
+builds it in the ring of its largest modulus, and writes its JSON from
+one %-format template per hit, byte for byte what json.dumps(indent=2)
+gives for the hits' as_json_dict() list.
 """
 
 from __future__ import annotations
@@ -165,18 +168,26 @@ def cmd_verify(args) -> tuple[str, int]:
     return _emit_rows(args.format, header, _report_rows(reports, args.source)), code
 
 
+# one ScanHit.as_json_dict() as json.dumps(indent=2) writes it inside a list
+_HIT_JSON = ('  {\n    "claim": {\n      "A": %d,\n      "B": %d,\n      "M": %d\n'
+             '    },\n    "checks": %d,\n    "label": "%s"\n  }')
+
+
 def cmd_scan(args) -> tuple[str, int]:
     try:
         mods = [int(m) for m in args.mods.split(",") if m.strip()]
     except ValueError:
         raise ValueError(f"--mods wants comma-separated integers, got {args.mods!r}")
-    pbar = overpartitions.generating_series(args.limit, congruence.SCAN_RING,
-                                            overpartitions.INVERSION)
+    _, ring = congruence.scan_plan(args.amax, mods, args.limit, args.min_checks)
+    pbar = overpartitions.generating_series(args.limit, ring, overpartitions.INVERSION)
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
     if args.format == "json":
-        doc = [h.as_json_dict() for h in hits]
-        return json.dumps(doc, indent=2) + "\n", 0
+        if not hits:
+            return "[]\n", 0
+        body = ",\n".join([_HIT_JSON % (h.claim.A, h.claim.B, h.claim.M, h.checks,
+                                         h.label) for h in hits])
+        return "[\n" + body + "\n]\n", 0
     header = ["A", "B", "M", "checks", "label"]
     rows = [[h.claim.A, h.claim.B, h.claim.M, h.checks, h.label] for h in hits]
     return _emit_rows(args.format, header, rows), 0

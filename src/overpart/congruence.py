@@ -29,7 +29,10 @@ columns 7, 14, 15.
 The scanner does not walk residues.  It reads the window once as a string
 of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
 asked for, and a progression An + B clears every M up to 2^v, where v is
-the least valuation on its slice.  Its evidence threshold is min_checks.
+the least valuation on its slice, found by asking the slice for 0, 1, 2,
+... in turn (each a memchr).  Its evidence threshold is min_checks.
+scan_plan checks a scan's arguments before any series is built and names
+the ring it reads, Z/2^j.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ COUNTEREXAMPLE = "Counterexample"
 SKIPPED = "Skipped"
 
 _SCAN_MODULI = (4, 8, 16, 32, 64, 128)
-# the ring of the widest scan modulus, Z/2^7: every scan reads no more
-SCAN_RING = mod2_ring(max(_SCAN_MODULI).bit_length() - 1)
 
 
 @dataclass(frozen=True, order=True)
@@ -448,25 +449,13 @@ def known_claims() -> frozenset:
     return frozenset(c for c in suite_checks("all") if isinstance(c, CongruenceClaim))
 
 
-def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
-                     limit: int | None = None,
-                     min_checks: int = 50) -> list[ScanHit]:
-    """Every (A <= amax, 0 <= B < A, M in mods) with no counterexample in
-    the window and at least min_checks tested points.
-
-    The window is read once, as one byte per n: the 2-adic valuation of
-    pbar(n), capped at j for 2^j = max(mods).  A row An + B is one slice
-    of that string; its least valuation v makes it a hit for every M <=
-    2^v in mods, so a row costs the same however many moduli are asked
-    for.  Hits come in (A, B, M) order.
-
-    Finite evidence only.  B = 0 rows include n = 0, where pbar(0) = 1
-    kills the claim immediately; that is intentional (a congruence that
-    fails at zero is not a congruence).  Progressions with fewer than
-    min_checks points in the window are suppressed rather than reported
-    on thin evidence.  An empty mods, or a window of fewer than min_checks
-    points, would check nothing and is an error.
-    """
+def scan_plan(amax: int, mods, limit: int,
+              min_checks: int) -> tuple[list[int], CoeffRing]:
+    """The sorted moduli of a scan over the window [0, limit] and the ring
+    Z/2^j, 2^j = max(mods), its series needs.  Rejects a scan that would
+    check nothing: no modulus, a modulus outside _SCAN_MODULI, amax or
+    min_checks below 1, a negative limit, or a window of fewer than
+    min_checks points."""
     mods = sorted(set(mods))
     if not mods:
         raise ValueError(f"scan needs at least one modulus from {_SCAN_MODULI}")
@@ -477,25 +466,58 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
         raise ValueError(f"amax must be >= 1, got {amax}")
     if min_checks < 1:
         raise ValueError(f"min_checks must be >= 1, got {min_checks}")
-    top = mods[-1]
-    limit = _window(pbar, limit, top)
+    if limit < 0:
+        raise ValueError(f"window bound must be >= 0, got {limit}")
     if limit + 1 < min_checks:
         raise ValueError(
             f"window [0, {limit}] holds {limit + 1} points, fewer than "
             f"min_checks={min_checks}: no progression can be checked")
+    return mods, mod2_ring(mods[-1].bit_length() - 1)
+
+
+def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
+                     limit: int | None = None,
+                     min_checks: int = 50) -> list[ScanHit]:
+    """Every (A <= amax, 0 <= B < A, M in mods) with no counterexample in
+    the window and at least min_checks tested points.
+
+    The window is read once, as one byte per n: the 2-adic valuation of
+    pbar(n), capped at j for 2^j = max(mods).  A row An + B is one slice
+    of that string; its least valuation v makes it a hit for every M <=
+    2^v in mods, so a row costs the same however many moduli are asked
+    for.  v is found by asking the slice for 0, 1, ..., j - 1 in turn,
+    each a memchr: pbar(n) is odd only at n = 0 and 2 mod 4 exactly at
+    the positive squares, so most rows stop at 0 or 1.  Hits come in
+    (A, B, M) order.
+
+    Finite evidence only.  B = 0 rows include n = 0, where pbar(0) = 1
+    kills the claim immediately; that is intentional (a congruence that
+    fails at zero is not a congruence).  Progressions with fewer than
+    min_checks points in the window are suppressed rather than reported
+    on thin evidence.  The arguments are checked by scan_plan, and the
+    series must reach the window in a ring that holds 2^j.
+    """
+    mods, _ = scan_plan(amax, mods, pbar.order if limit is None else limit,
+                        min_checks)
+    top = mods[-1]
+    j = top.bit_length() - 1
+    limit = _window(pbar, limit, top)
     known = known_claims()
     # val[n] = min(v2(pbar(n)), j) for top = 2^j: c | top has lowest set
     # bit 2^min(v2(c), j), and v2(0) counts as j
     val = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in pbar.coeffs[:limit + 1])
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
-    clears = [[M for M in mods if M <= 1 << v] for v in range(top.bit_length())]
+    clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
     hits = []
     for A in range(1, amax + 1):
         for B in range(A):
             row = val[B::A]
             if len(row) < min_checks:
                 continue
-            for M in clears[min(row)]:
+            v = 0
+            while v < j and v not in row:
+                v += 1
+            for M in clears[v]:
                 claim = CongruenceClaim(A, B, M)
                 hits.append(ScanHit(claim, len(row), claim in known))
     return hits

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from overpart import cli
+from overpart import cli, congruence, overpartitions
 from overpart.cli import main
+from overpart.series import mod2_ring
 
 
 def run_cli(capsys, *argv):
@@ -410,6 +411,19 @@ def test_verify_rows_carry_source_pinned(capsys, fmt):
 
 # -- scan ------------------------------------------------------------------------
 
+def _record_rings(monkeypatch):
+    """Make generating_series record the ring of every call."""
+    rings = []
+    build = overpartitions.generating_series
+
+    def recording(order, ring, source):
+        rings.append(ring)
+        return build(order, ring, source)
+
+    monkeypatch.setattr(overpartitions, "generating_series", recording)
+    return rings
+
+
 def test_scan_labels(capsys):
     code, out, _ = run_cli(capsys, "scan", "--amax", "8", "--mods", "8,64",
                            "--limit", "3000")
@@ -438,13 +452,19 @@ def test_scan_table_format(capsys):
     assert "KNOWN" in out
 
 
-def test_scan_validation(capsys):
+def test_scan_validation(capsys, monkeypatch):
+    # every usage error is found before the series is built
+    rings = _record_rings(monkeypatch)
     code, _, err = run_cli(capsys, "scan", "--mods", "3", "--limit", "500")
     assert code == 2 and "error:" in err
+    code, _, err = run_cli(capsys, "scan", "--mods", "256", "--limit", "100000")
+    assert code == 2 and "scan moduli limited to" in err
     code, _, _ = run_cli(capsys, "scan", "--mods", "x", "--limit", "500")
     assert code == 2
-    code, _, _ = run_cli(capsys, "scan", "--amax", "0", "--limit", "500")
-    assert code == 2
+    code, _, err = run_cli(capsys, "scan", "--amax", "0", "--limit", "500")
+    assert code == 2 and "amax must be >= 1, got 0" in err
+    code, _, err = run_cli(capsys, "scan", "--min-checks", "0")
+    assert code == 2 and "min_checks must be >= 1, got 0" in err
     code, out, err = run_cli(capsys, "scan", "--limit", "-1")
     assert code == 2 and out == ""
     assert "--limit must be >= 0" in err
@@ -455,6 +475,42 @@ def test_scan_validation(capsys):
     code, out, err = run_cli(capsys, "scan", "--mods", "4", "--limit", "0")
     assert code == 2 and out == ""
     assert "fewer than min_checks=50" in err
+    assert rings == []
+
+
+# the default scan, test_scan_labels' window (CANDIDATE hits) and a scan
+# with no hit at all
+SCAN_JSON_RUNS = {
+    "default": (),
+    "labels": ("--amax", "8", "--mods", "8,64", "--limit", "3000"),
+    "no hits": ("--amax", "1", "--mods", "4", "--limit", "100"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_JSON_RUNS))
+def test_scan_json_is_the_hits_json_dumps(capsys, name):
+    argv = ("scan", *SCAN_JSON_RUNS[name])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    args = cli.build_parser().parse_args(argv)
+    mods = [int(m) for m in args.mods.split(",")]
+    pbar = overpartitions.by_inversion(args.limit, mod2_ring(7))
+    hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
+                                       args.min_checks)
+    assert out == json.dumps([h.as_json_dict() for h in hits], indent=2) + "\n"
+    if name == "no hits":
+        assert out == "[]\n"
+    else:
+        assert {h.label for h in hits} == {"KNOWN", "CANDIDATE"}
+
+
+@pytest.mark.parametrize("mods, bits", [("4,8,16,32,64", 6), ("8,4", 3),
+                                        ("128,4", 7), ("4", 2)])
+def test_scan_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch, mods, bits):
+    rings = _record_rings(monkeypatch)
+    code, _, _ = run_cli(capsys, "scan", "--mods", mods, "--limit", "500")
+    assert code == 0
+    assert rings == [mod2_ring(bits)]
 
 
 def test_internal_error_exits_three(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from overpart import congruence, theta
 from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  VERIFIED, combined_family_claims,
                                  dissection_rhs_mod16, ell_family_claims,
-                                 known_claims, mod8_family_claims,
+                                 known_claims, mod8_family_claims, scan_plan,
                                  verify_4n_relations, verify_dissection_mod16,
                                  verify_mod8_nonsquare, verify_progression)
 from overpart.cli import main
@@ -532,6 +532,24 @@ def test_scan_output_is_sorted_and_consistent(pbar_mod32_20k):
 def test_scan_never_reports_b_zero(pbar_mod32_20k):
     hits = scan_congruences(pbar_mod32_20k, 6, (4,), 2000)
     assert all(h.claim.B != 0 for h in hits)
+    # the B = 0 rows of [0, 40] for A = 7, 10, 11 hold no positive square,
+    # so n = 0 is the only point below valuation 2 on them
+    hits = scan_congruences(pbar_mod32_20k, 12, (4,), 40, min_checks=1)
+    assert hits and all(h.claim.B != 0 for h in hits)
+
+
+def test_scan_plan():
+    assert scan_plan(16, [64, 4, 8, 4], 10_000, 50) == ([4, 8, 64], mod2_ring(6))
+    assert scan_plan(1, (128,), 0, 1) == ([128], mod2_ring(7))
+    # the scanner rejects what scan_plan rejects, with the same message
+    pbar = by_inversion(100, mod2_ring(7))
+    for args in [(8, (256,), 100, 50), (0, (8,), 100, 50), (8, (8,), 100, 0),
+                 (8, (), 100, 50), (8, (8,), -1, 50), (8, (8,), 48, 50)]:
+        with pytest.raises(ValueError) as planned:
+            scan_plan(*args)
+        with pytest.raises(ValueError) as scanned:
+            scan_congruences(pbar, *args)
+        assert str(scanned.value) == str(planned.value)
 
 
 def test_scan_check_counts(pbar_mod32_20k):
