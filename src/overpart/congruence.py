@@ -24,7 +24,10 @@ witness, with none the check is Verified, and with no pairs at all (a
 window that holds no point of the check) it is Skipped.  One checked
 point is enough for Verified; the report counts the pairs it walked.
 The dissection walks its coefficient mismatches before its vanishing
-columns 7, 14, 15.
+columns 7, 14, 15.  A check hands _verdict its points and their values
+as sequences, and the residues and the first nonzero one are found by C
+loops (map, bytes.lstrip); kim8 and the pbar(4n) tiers pick their points
+by a byte mask and itertools.compress.
 
 The scanner does not walk residues.  It reads the window once as a string
 of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
@@ -38,12 +41,13 @@ the ring it reads, Z/2^j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
+from math import isqrt
+from operator import add, sub
 
 from . import theta
 from .numtheory import is_prime, is_qnr, jacobi
 from .series import CoeffRing, TruncatedSeries, mod2_ring
-from .squares import square_predicates
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "Counterexample"
@@ -139,16 +143,19 @@ def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
     return limit
 
 
-def _verdict(subject, limit, residues) -> VerificationReport:
-    """Counterexample at the first nonzero (n, residue) pair, else Verified;
-    Skipped if there is no pair to check.  Counts the pairs it walks."""
-    status, witness, checks = SKIPPED, None, 0
-    for checks, (n, r) in enumerate(residues, 1):
-        if r:
-            status, witness = COUNTEREXAMPLE, (n, r)
-            break
-        status = VERIFIED
-    return VerificationReport(subject, status, limit, witness, checks)
+def _verdict(subject, limit, ns, values, modulus) -> VerificationReport:
+    """The verdict on the points ns, whose values run in step with them:
+    Counterexample at the first value nonzero mod modulus, with
+    (n, residue) as witness, else Verified; Skipped if ns is empty.
+    Counts the points it walks.  A power-of-two modulus reduces by one &
+    per value, and the first nonzero residue is found in C."""
+    res = list(map((modulus - 1).__and__, values))
+    rest = bytes(map(bool, res)).lstrip(b"\0")
+    if not rest:
+        return VerificationReport(subject, VERIFIED if res else SKIPPED, limit,
+                                  None, len(res))
+    k = len(res) - len(rest)
+    return VerificationReport(subject, COUNTEREXAMPLE, limit, (ns[k], res[k]), k + 1)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
@@ -156,7 +163,7 @@ def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
     """Check one claim for every n with A*n + B <= limit."""
     limit = _window(pbar, limit, claim.M)
     row = pbar.coeffs[claim.B:limit + 1:claim.A]
-    return _verdict(claim, limit, enumerate(v % claim.M for v in row))
+    return _verdict(claim, limit, range(len(row)), row, claim.M)
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -206,25 +213,23 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries,
                           limit: int | None = None) -> VerificationReport:
     """pbar(n) == 0 (mod 8) whenever n is neither a square nor twice one."""
     limit = _window(pbar, limit, 8)
-    co = pbar.coeffs
-    residues = ((n, co[n] % 8) for n in filter(_off_squares, range(limit + 1)))
-    return _verdict("mod8-nonsquare", limit, residues)
+    keep = bytearray(b"\1") * (limit + 1)
+    for k in range(isqrt(limit) + 1):
+        keep[k * k] = 0
+    for k in range(isqrt(limit // 2) + 1):
+        keep[2 * k * k] = 0
+    return _verdict("mod8-nonsquare", limit, list(compress(range(limit + 1), keep)),
+                    compress(pbar.coeffs, keep), 8)
 
 
-def _off_squares(n: int) -> bool:
-    """n is neither a square nor twice one."""
-    kind = square_predicates(n)
-    return not (kind.is_square or kind.is_twice_square)
-
-
-# tier -> (uses (-1)^n sign, the n the relation holds for)
+# tier -> (uses (-1)^n sign, the n mod 8 it leaves out, leaves out odd squares)
 _4N_TIERS = {
-    4: (False, lambda n: True),
-    8: (True, lambda n: True),
-    16: (True, lambda n: True),
-    32: (True, lambda n: not square_predicates(n).is_odd_square),
-    64: (True, lambda n: n % 8 not in (1, 2, 5)),
-    128: (True, lambda n: n % 4 == 0),
+    4: (False, (), False),
+    8: (True, (), False),
+    16: (True, (), False),
+    32: (True, (), True),
+    64: (True, (1, 2, 5), False),
+    128: (True, (1, 2, 3, 5, 6, 7), False),
 }
 
 _4N_PREFIX = "4n-vs-n-mod"
@@ -249,11 +254,21 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     """
     subject = _4n_check(modulus)
     limit = _window(pbar, limit, modulus, reach=4)
-    signed, keeps = _4N_TIERS[modulus]
+    signed, skip_mod8, skip_odd_squares = _4N_TIERS[modulus]
     co = pbar.coeffs
-    residues = ((n, (co[4 * n] - (-co[n] if signed and n & 1 else co[n])) % modulus)
-                for n in filter(keeps, range(1, limit + 1)))
-    return _verdict(subject, limit, residues)
+    # values[n] = pbar(4n) - (-1)^n pbar(n), with the sign only if signed
+    values = list(map(sub, co[:4 * limit + 1:4], co[:limit + 1]))
+    if signed:
+        values[1::2] = map(add, co[4:4 * limit + 1:8], co[1:limit + 1:2])
+    keep = bytearray(b"\1") * (limit + 1)
+    keep[0] = 0
+    for r in skip_mod8:
+        keep[r::8] = bytes(len(range(r, limit + 1, 8)))
+    if skip_odd_squares:
+        for k in range(1, isqrt(limit) + 1, 2):
+            keep[k * k] = 0
+    return _verdict(subject, limit, list(compress(range(limit + 1), keep)),
+                    compress(values, keep), modulus)
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -320,10 +335,11 @@ def verify_dissection_mod16(pbar: TruncatedSeries,
     q^(16n+15) columns of the rebuilt series to vanish identically."""
     limit = _window(pbar, limit, 16)
     rhs = dissection_rhs_mod16(limit).coeffs
-    # zip stops at the end of rhs, q^limit
-    mismatches = ((n, (r - l) % 16) for n, (r, l) in enumerate(zip(rhs, pbar.coeffs)))
-    columns = ((16 * k + j, v) for j in (7, 14, 15) for k, v in enumerate(rhs[j::16]))
-    return _verdict("dissection-mod16", limit, chain(mismatches, columns))
+    columns = (7, 14, 15)
+    ns = [*range(limit + 1), *chain.from_iterable(range(j, limit + 1, 16) for j in columns)]
+    # map stops at the end of rhs, q^limit
+    values = chain(map(sub, rhs, pbar.coeffs), *(rhs[j::16] for j in columns))
+    return _verdict("dissection-mod16", limit, ns, values, 16)
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:

@@ -5,24 +5,27 @@ Reading past the truncation order is a hard error, never a silent zero:
 every coefficient an operation reports is one it actually knows.
 
 Binary operations require the two operands to share a ring and truncate
-the result to the shorter operand's order.  Division a / d is the one
-recurrence in the package, with inversion as 1 / d, and it groups the
-terms of d by value: one add per term plus one multiply per distinct
-value.  In Z/2**m it runs in blocks of B coefficients, B = _block(order)
-a power of two near sqrt(order) and at least 64.  Lags below B are added
-one coefficient at a time; each lag of B or more reads only finished
-blocks, so it is summed for a whole block at once as a slice of one
-packed byte buffer.  A dense divisor with all-distinct coefficients then
-pays one slice per term and block rather than one multiply per term and
-coefficient.  In Z the coefficients grow without bound, no fixed slot
-width holds them, and the whole series is one block.  All series are
-immutable.
+the result to the shorter operand's order.  _convolve is the one
+multiply: Kronecker substitution, with signed slots in Z and unsigned
+slots in Z/2**m, whose values are laid out and read back in C (by byte
+slicing for m <= 8, by a struct per slot above).  Division a / d, with
+inversion as 1 / d, has one recurrence, _recur, which groups the terms
+of d by value: one add per term plus one multiply per distinct value.
+In Z the coefficients grow without bound, no fixed slot width holds
+them, and _recur is the whole division.  In Z/2**m it only inverts d to
+the block order B = _block(order, m); each block of B quotient
+coefficients is then one multiply by that inverse, once the terms of d
+are summed over the finished blocks as slices of one packed byte buffer.
+All series are immutable.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from math import isqrt
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 
@@ -80,21 +83,68 @@ def mod2_ring(bits: int) -> CoeffRing:
 DEFAULT_RING = mod2_ring(32)
 
 
-def _block(order: int) -> int:
-    """Quotient coefficients per block of the division recurrence in Z/2**m:
-    the least power of two above sqrt(order), and at least 64.
+def _block(order: int, bits: int) -> int:
+    """Quotient coefficients per block of the division in Z/2**bits:
+    16 * 2**(bit_length(order) // 3) when bits <= 8, half that for wider
+    rings, and at least 64.
 
-    A block costs one slice per far term and one unpack, and the per-n
-    loop one add per near term, so the two balance near sqrt(order).  It
-    picks 256 at 4*10^4 and 1024 at 4*10^5.  Timing 1 / phi(-q) mod 2^7,
-    blocks from about sqrt(order) / 2 to 2 sqrt(order) were within noise
-    of each other at both orders, and 64 was slower at 4*10^4.
+    A block costs one slice per term of the divisor, whose fixed cost
+    larger blocks spread thinner, and one multiply of two B-slot packed
+    integers, whose cost per coefficient grows with B times the slot
+    width.  A product slot holds 2 bits + log2 B bits: 3 bytes in Z/2^7
+    at 4*10^4, 9 in Z/2^32, 17 in Z/2^64, so wider rings take shorter
+    blocks.  Timing 1 / phi(-q): in Z/2^7, 384 and 512 beat 256 and 1024
+    at 4*10^4, and 1024 beat 2048 at 4*10^5; in Z/2^16, Z/2^32 and Z/2^64
+    at 4*10^4, 128 to 256 beat 512.
     """
-    return max(64, 1 << isqrt(order).bit_length())
+    return max(64, (16 if bits <= 8 else 8) << order.bit_length() // 3)
 
 
-def _pack(vals: Sequence[int], sb: int) -> int:
-    """Pack signed slot values into one integer, sb bytes per slot."""
+def _repeat(x: int, sb: int, n: int) -> int:
+    """n slots of sb bytes, each holding x."""
+    return int.from_bytes(x.to_bytes(sb, "little") * n, "little")
+
+
+def _value_bytes(bits: int) -> int:
+    """The low bytes of a slot a value below 2**bits is laid out in: 1, 2,
+    4 or 8."""
+    return 1 << ((bits - 1) // 8).bit_length()
+
+
+def _slot(sb: int, bits: int) -> struct.Struct:
+    """One little-endian slot of sb bytes holding an unsigned value below
+    2**bits, 8 < bits <= 64, in its low _value_bytes(bits) bytes."""
+    vb = _value_bytes(bits)
+    code = {2: "H", 4: "I", 8: "Q"}[vb]
+    return struct.Struct(f"<{code}{sb - vb}x")
+
+
+def _lay(vals: Sequence[int], sb: int, bits: int) -> bytes:
+    """Values in [0, 2**bits) as little-endian sb-byte slots, each value in
+    the low bytes of its slot, laid out in C: by one slice assignment when
+    bits <= 8, else by a struct per slot."""
+    if bits <= 8:
+        buf = bytearray(len(vals) * sb)
+        buf[::sb] = bytes(vals)
+        return buf
+    return b"".join(map(_slot(sb, bits).pack, vals))
+
+
+def _unpack(data, sb: int, bits: int) -> Sequence[int]:
+    """The values of _lay(vals, sb, bits), read back from its bytes."""
+    if bits <= 8:
+        return data[::sb]
+    return list(chain.from_iterable(_slot(sb, bits).iter_unpack(data)))
+
+
+def _pack(vals: Sequence[int], sb: int, bits: int | None = None) -> int:
+    """Pack slot values into one integer, sb bytes per slot.
+
+    bits: every value lies in [0, 2**bits), laid out by _lay.  bits None:
+    each slot is written on its own, and values may be negative.
+    """
+    if bits is not None:
+        return int.from_bytes(_lay(vals, sb, bits), "little")
     pos = bytearray(len(vals) * sb)
     neg = bytearray(len(vals) * sb)
     for i, c in enumerate(vals):
@@ -105,33 +155,69 @@ def _pack(vals: Sequence[int], sb: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], outlen: int) -> list[int]:
+def _convolve(a: Sequence[int], b: Sequence[int], outlen: int,
+              bits: int | None = None) -> Sequence[int]:
     """First outlen coefficients of the product, by Kronecker substitution.
 
     Both operands are packed into big integers with a fixed slot width
     chosen so no convolution sum can reach a neighboring slot; one native
-    multiply then performs the whole convolution exactly.  Slots are
-    signed, so the product is re-biased by half a slot before unpacking.
+    multiply then performs the whole convolution exactly.
+
+    In Z (bits None) slots are signed, so the product is re-biased by half
+    a slot before unpacking.  In Z/2**bits the coefficients lie in
+    [0, 2**bits): the slots are unsigned, one & with a repeated
+    2**bits - 1 reduces every slot of the product, and the result comes
+    back reduced.
     """
     a = a[:outlen]
     b = b[:outlen]
-    amax = max(map(abs, a))
-    bmax = max(map(abs, b))
+    amax = max(a) if bits else max(map(abs, a))
+    bmax = max(b) if bits else max(map(abs, b))
     if amax == 0 or bmax == 0:
         return [0] * outlen
-    # |sum| <= amax*bmax*min(len), two spare bits keep it under half a slot
-    slot_bits = (amax * bmax * min(len(a), len(b))).bit_length() + 2
-    sb = (slot_bits + 7) // 8
+    top = amax * bmax * min(len(a), len(b))
+    if bits:
+        sb = max((top.bit_length() + 7) // 8, _value_bytes(bits))
+        low = _pack(a, sb, bits) * _pack(b, sb, bits) & _repeat((1 << bits) - 1, sb, outlen)
+        return _unpack(low.to_bytes(outlen * sb, "little"), sb, bits)
+    # |sum| <= top, two spare bits keep it under half a slot
+    sb = (top.bit_length() + 2 + 7) // 8
     slot_bits = sb * 8
     prod = _pack(a, sb) * _pack(b, sb)
     half = 1 << (slot_bits - 1)
-    bias = int.from_bytes(half.to_bytes(sb, "little") * outlen, "little")
+    bias = _repeat(half, sb, outlen)
     low = (prod + bias) & ((1 << (outlen * slot_bits)) - 1)
     data = low.to_bytes(outlen * sb, "little")
     return [
         int.from_bytes(data[i * sb:(i + 1) * sb], "little") - half
         for i in range(outlen)
     ]
+
+
+def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
+           mask: int) -> list[int]:
+    """First n coefficients of a / d, one at a time, with the terms of d
+    grouped by value:
+
+        c(k) = d(0)^-1 * (a(k) - sum_v v * sum_{i in S_v, i <= k} c(k - i))
+
+    where S_v holds the exponents i >= 1 with d(i) = v: one add per term
+    and one multiply per distinct value.  inv0 = d(0)^-1; each c(k) is
+    reduced by & mask (-1 in Z).
+    """
+    c = list(a[:n])
+    groups = {}  # v -> the exponents 1 <= i <= k with d(i) = v
+    for k in range(n):
+        if k and d[k]:
+            groups.setdefault(d[k], []).append(k)
+        s = c[k]
+        for v, exps in groups.items():
+            t = 0
+            for i in exps:
+                t += c[k - i]
+            s -= v * t
+        c[k] = inv0 * s & mask
+    return c
 
 
 class TruncatedSeries:
@@ -142,7 +228,7 @@ class TruncatedSeries:
     def __init__(self, ring: CoeffRing, coeffs: Iterable[int]):
         # the one place coefficients are reduced into the ring
         m = ring.mask
-        coeffs = tuple(coeffs) if m is None else tuple(c & m for c in coeffs)
+        coeffs = tuple(coeffs) if m is None else tuple(map(m.__and__, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
         object.__setattr__(self, "ring", ring)
@@ -241,7 +327,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         outlen = self._common(other) + 1
-        prod = _convolve(self._coeffs, other._coeffs, outlen)
+        prod = _convolve(self._coeffs, other._coeffs, outlen, self.ring.bits)
         return TruncatedSeries(self.ring, prod)
 
     __rmul__ = __mul__
@@ -262,76 +348,84 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Quotient self / other, truncated to the shorter order.
 
-        Linear recurrence for a / d, with the terms of d grouped by value:
+        In Z the coefficients of 1 / phi(-q) grow like e^(pi sqrt n), no
+        fixed slot width holds them, and the quotient is the grouped
+        recurrence of _recur over the whole series.
 
-            c(n) = d(0)^-1 * (a(n) - sum_v v * sum_{i in S_v, i <= n} c(n - i))
+        In Z/2**m the quotient c = a / d is built in blocks [b, e) of at
+        most B = _block(order, m) coefficients.  With P = 1/d mod q^B, from
+        _recur over the first B coefficients, each block solves
 
-        where S_v holds the exponents i >= 1 with d(i) = v.  The quotient
-        is built in blocks [b, e) of B = _block(order) coefficients.  A
-        near lag i < B is added in the per-n loop, one add per term and one
-        multiply per distinct value.  A far lag i >= B reads only
-        coefficients of earlier blocks, so for each block and each value v
-        the far terms are summed once for the whole block: c is kept
-        packed in a little-endian byte buffer, each lag contributes one
-        int.from_bytes slice at offset b - i, and one multiply by v and
-        one unpack per block finish the sums.
+            c_blk * d = a_blk - r_blk  (mod q^(e-b)),
+            r(n) = sum_{i > n-b} d(i) * c(n - i),  b <= n < e,
 
-        In Z/2**m every coefficient lies in [0, 2**m), so a slot of
-        2m + bit_length(#far lags) bits holds a block sum without
-        carrying into its neighbour.  In Z the coefficients of 1 / phi(-q)
-        grow like e^(pi sqrt n), so no fixed slot fits; the block is the
-        whole series there, no lag is far, and the per-n loop does all the
-        work.  d(0) must be a unit: +-1 exactly, or odd mod 2**m.
+        so c_blk = P * (a_blk - r_blk) mod q^(e-b), and r reads only
+        finished blocks.  c is kept packed in a little-endian byte buffer
+        of wb-byte slots.  -r_blk is summed per distinct value of d, as
+        u = -d(i) mod 2**m taken in [-2**(m-1), 2**(m-1)): each term i adds
+        one int.from_bytes slice at offset b - i, and a term i < e - b
+        reads only its i slots, which end where the buffer does.  A bias K,
+        a multiple of 2**m above every negative sum, keeps each slot of
+        a_blk + K - r_blk non-negative, and one & with a repeated
+        2**m - 1 reduces them all.  One multiply by P, packed in wp-byte
+        slots, solves the block, and one more & reduces its slots; the
+        block is appended to the buffer packed, and the buffer is unpacked
+        once at the end.
+
+        A buffer slot holds at most 2**m - 1 + K + (2**m - 1) * (the sum of
+        u > 0 over the terms), and a product slot B products below
+        (2**m - 1)**2.  The widths differ: 2 and 3 bytes for 1 / phi(-q),
+        whose u are +-2, in Z/2^7 at 4*10^4, 10 and 17 bytes in Z/2^64.  A
+        block moves between them by one _lay each way.  d(0) must be a
+        unit: +-1 exactly, or odd mod 2**m.
         """
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = self._common(other)
         d = other._coeffs
         inv0 = self.ring.invert_unit(d[0])
+        n = order + 1
+        mask = self.ring.mask
+        if mask is None:
+            return TruncatedSeries(self.ring, _recur(self._coeffs, d, n, inv0, -1))
         bits = self.ring.bits
-        if bits is None:
-            m, block = -1, order + 1  # x & -1 == x; one block, no far lags
-        else:
-            m, block = self.ring.mask, _block(order)
-        nfar = sum(1 for x in d[block:order + 1] if x)
-        # w bytes per slot (0 in Z); the buffer opens with block - 1 zero
-        # slots, so a far lag that reaches before q^0 reads zeros
-        w = (2 * (bits or 0) + nfar.bit_length() + 7) // 8
-        buf = bytearray((block - 1) * w)
-        near = {}  # v -> the exponents 1 <= i <= n, i < block, with d(i) = v
-        far = {}   # v -> the exponents block <= i < e with d(i) = v
-        c = list(self._coeffs[:order + 1])
-        for b in range(0, order + 1, block):
-            e = min(b + block, order + 1)
-            for i in range(max(b, block), e):
-                if d[i]:
-                    far.setdefault(d[i], []).append(i)
-            sums = [0] * (e - b)  # the far part of each c(n) in the block
-            if far:
-                span = (e - b) * w
-                total = 0
-                for v, exps in far.items():
-                    t = 0
-                    for i in exps:
-                        o = (b - i + block - 1) * w
-                        t += int.from_bytes(buf[o:o + span], "little")
-                    total += v * t
-                packed = total.to_bytes(span, "little")
-                sums = [int.from_bytes(packed[k:k + w], "little")
-                        for k in range(0, span, w)]
-            for n, s in zip(range(b, e), sums):
-                if n and n < block and d[n]:
-                    near.setdefault(d[n], []).append(n)
-                s = c[n] - s
-                for v, exps in near.items():
-                    t = 0
-                    for i in exps:
-                        t += c[n - i]
-                    s -= v * t
-                c[n] = inv0 * s & m
-            if nfar:
-                buf += b"".join(x.to_bytes(w, "little") for x in c[b:e])
-        return TruncatedSeries(self.ring, c)
+        block = min(_block(order, bits), n)
+        lags = list(compress(range(1, n), d[1:n]))  # the exponents of the terms
+        counts = Counter(map(d.__getitem__, lags))
+        half = 1 << (bits - 1)
+        # d(i) = v -> u = -v mod 2**m, in [-2**(m-1), 2**(m-1))
+        signed = {v: (half - v) % (mask + 1) - half for v in counts}
+        up = sum(u * counts[v] for v, u in signed.items() if u > 0)
+        down = sum(-u * counts[v] for v, u in signed.items() if u < 0)
+        bias = 1 << max(bits, (down * mask).bit_length())
+        wb = ((mask + bias + up * mask).bit_length() + 7) // 8
+        wp = ((block * mask * mask).bit_length() + 7) // 8
+        inv = _pack(_recur([1] + [0] * (block - 1), d, block, inv0, mask), wp, bits)
+        # block - 1 zero slots lead the buffer, so a term that reaches
+        # before q^0 reads zeros
+        pad = (block - 1) * wb
+        buf = bytearray(pad)
+        terms = {}  # u -> the exponents i < e with -d(i) = u mod 2**m
+        a = self._coeffs
+        for b in range(0, n, block):
+            e = min(b + block, n)
+            for i in lags[bisect_left(lags, b):bisect_left(lags, e)]:
+                terms.setdefault(signed[d[i]], []).append(i)
+            size = e - b
+            span = size * wb
+            r = _repeat(bias, wb, size)
+            for u, exps in terms.items():
+                t = 0
+                for i in exps:
+                    o = pad + (b - i) * wb
+                    t += int.from_bytes(buf[o:o + span], "little")
+                r += u * t
+            s = (_pack(a[b:e], wb, bits) + r) & _repeat(mask, wb, size)
+            if wp != wb:
+                s = _pack(_unpack(s.to_bytes(span, "little"), wb, bits), wp, bits)
+            blk = ((inv * s) & _repeat(mask, wp, size)).to_bytes(size * wp, "little")
+            buf += blk if wp == wb else _lay(_unpack(blk, wp, bits), wb, bits)
+        return TruncatedSeries(self.ring, _unpack(memoryview(buf)[pad:], wb, bits))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same order: one / self."""

@@ -17,6 +17,7 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  verify_mod8_nonsquare, verify_progression)
 from overpart.cli import main
 from overpart.overpartitions import by_inversion, by_product
+from overpart.squares import square_predicates
 
 
 # -- claims ----------------------------------------------------------------
@@ -222,6 +223,60 @@ def test_mod8_nonsquare_counterexample_detection():
     rep = verify_mod8_nonsquare(fake)
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness == (3, 1)
+
+
+def bumped(pbar, n, by=1):
+    co = list(pbar.coeffs)
+    co[n] += by
+    return TruncatedSeries(pbar.ring, co)
+
+
+# verifier -> (the verifier, the coefficient each point of its walk over
+# [0, 999] reads and a bump of 1 corrupts: pbar(4n) for a tier), with the
+# n-sets written out from square_predicates
+FIRST_AND_LAST = {
+    "progression 16n+14 mod 16": (lambda s, lim: verify_progression(
+        s, CongruenceClaim(16, 14, 16), lim), list(range(14, 1000, 16))),
+    "kim8": (verify_mod8_nonsquare,
+             [n for n in range(1000) if not square_predicates(n).is_square
+              and not (n % 2 == 0 and square_predicates(n // 2).is_square)]),
+    **{f"4n mod {m}": ((lambda m: lambda s, lim: verify_4n_relations(s, m, lim))(m),
+                       [4 * n for n in range(1, 1000) if keep(n)])
+       for m, keep in [(4, lambda n: True), (16, lambda n: True),
+                       (32, lambda n: not square_predicates(n).is_odd_square),
+                       (64, lambda n: n % 8 not in (1, 2, 5)),
+                       (128, lambda n: n % 4 == 0)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_AND_LAST))
+def test_counterexample_at_the_first_and_the_last_point(pbar_mod32_20k, name):
+    check, reads = FIRST_AND_LAST[name]
+    pbar = TruncatedSeries(pbar_mod32_20k.ring, pbar_mod32_20k.coeffs[:4000])
+    assert check(pbar, 999).checks == len(reads)
+    for k in (0, len(reads) - 1):
+        rep = check(bumped(pbar, reads[k]), 999)
+        assert rep.status == COUNTEREXAMPLE and rep.checks == k + 1, k
+        # a progression's witness is its index n, the others' the point n
+        n = k if name.startswith("progression") else reads[k] // (4 if "4n" in name else 1)
+        assert rep.witness == (n, 1), k
+
+
+def test_dissection_counterexample_at_the_first_and_the_last_point(monkeypatch):
+    # the walk runs over the mismatches at n = 0..limit, then the columns
+    # 7, 14, 15; the last column point is 16k + 15 <= limit
+    ring = mod2_ring(4)
+    co = [0] * 41
+    monkeypatch.setattr(congruence, "dissection_rhs_mod16",
+                        lambda order: TruncatedSeries(ring, rhs[:order + 1]))
+    rhs = list(co)
+    points = 41 + 3 + 2 + 2
+    assert verify_dissection_mod16(TruncatedSeries(ring, co), 40).checks == points
+    rep = verify_dissection_mod16(TruncatedSeries(ring, [3] + co[1:]), 40)
+    assert rep.witness == (0, 13) and rep.checks == 1
+    rhs[31] = 6
+    rep = verify_dissection_mod16(TruncatedSeries(ring, rhs), 40)
+    assert rep.witness == (31, 6) and rep.checks == points
 
 
 # -- the 4n tiers --------------------------------------------------------------

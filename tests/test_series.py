@@ -296,14 +296,15 @@ def late_unit_series(rng, ring, order):
 
 RINGS = [EXACT, mod2_ring(1), mod2_ring(4), M32, mod2_ring(64)]
 RING_IDS = ["Z", "Z/2", "Z/2^4", "Z/2^32", "Z/2^64"]
-B = series._block(0)  # the block at every order below 4096
+B = series._block(0, 1)  # the least block, which every ring uses below order 256
 # around the block edges, and one order that is not a multiple of B
 EDGE_ORDERS = (B - 1, B, B + 1, 2 * B - 1, 2 * B + 1, 1001)
 
 
 def straddle_unit_series(rng, ring, order, block=B):
-    # terms on both sides of every block edge, so lags cross from the
-    # per-n loop into the packed far sums at block and at 2, 3, ... blocks
+    # terms on both sides of every block edge, at block and at 2, 3, ...
+    # blocks: a term shorter than the block reads only the end of the
+    # finished quotient, a longer one a whole block's span of it
     c = [0] * (order + 1)
     c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 32, 2)
     for edge in range(block, order + 2, block):
@@ -332,11 +333,10 @@ def test_division_by_grouped_values_matches_schoolbook(ring, make):
 @pytest.mark.parametrize("block", [1, 2, 3, 63, 128, 256, 512, 1024])
 @pytest.mark.parametrize("ring", RINGS[1:], ids=RING_IDS[1:])
 def test_division_matches_schoolbook_at_any_block_size(monkeypatch, ring, block):
-    # small blocks make nearly every lag far and put many edges in a
-    # short series; the blocks _block picks at large orders are tried at
-    # orders on both sides of B and 2B.  The quotient must not depend on
-    # where the edges fall.
-    monkeypatch.setattr(series, "_block", lambda order: block)
+    # small blocks put many edges in a short series; the blocks _block
+    # picks at large orders are tried at orders on both sides of B and 2B.
+    # The quotient must not depend on where the edges fall.
+    monkeypatch.setattr(series, "_block", lambda order, bits: block)
     orders = (0, 1, 5, 64, 130) if block < B else (block + 1, 2 * block + 1)
     makes = (sparse_unit_series, distinct_unit_series,
              lambda rng, ring, n: straddle_unit_series(rng, ring, n, max(block, B)))
@@ -350,9 +350,74 @@ def test_division_matches_schoolbook_at_any_block_size(monkeypatch, ring, block)
 
 
 def test_block_rule_picks():
-    # the least power of two above sqrt(order), and at least 64
-    assert [series._block(n) for n in (0, 1000, 4095, 4096, 4 * 10**4, 4 * 10**5)] \
-        == [64, 64, 64, 128, 256, 1024]
+    # 16 * 2**(bit_length(order) // 3), half that past 8 bits, at least 64
+    orders = (0, 255, 256, 4095, 4096, 10**4, 4 * 10**4, 10**5, 4 * 10**5)
+    assert [series._block(n, 7) for n in orders] \
+        == [64, 64, 128, 256, 256, 256, 512, 512, 1024]
+    assert [series._block(n, 8) for n in orders] == [series._block(n, 7) for n in orders]
+    assert [series._block(n, 32) for n in orders] \
+        == [64, 64, 64, 128, 128, 128, 256, 256, 512]
+    assert series._block(4 * 10**4, 9) == series._block(4 * 10**4, 64) == 256
+
+
+BLOCK_RINGS = [mod2_ring(b) for b in (1, 4, 7, 8, 32, 64)]
+
+
+def widest_sums(ring, order):
+    # a = 2**m - 1 everywhere and d = -1 + q, so a / d = 1 / (1 - q)**2 and
+    # 1/d mod q^B is 2**m - 1 everywhere: the top slot of the first
+    # block's product sums B products (2**m - 1)**2, the most a slot holds
+    m = ring.mask
+    return (TruncatedSeries(ring, [m] * (order + 1)),
+            TruncatedSeries(ring, [m, 1] + [0] * (order - 1)))
+
+
+@pytest.mark.parametrize("ring", BLOCK_RINGS, ids=str)
+def test_division_over_real_blocks_matches_schoolbook(ring):
+    # at least three blocks of the size _block picks, d(0) odd and not 1
+    # (every unit is 1 in Z/2), and a numerator nonzero in every block
+    order = 200
+    assert order + 1 > 3 * series._block(order, ring.bits)
+    rng = random.Random(40)
+    c = [0] * (order + 1)
+    c[0] = 3
+    for i in rng.sample(range(1, order + 1), 40):
+        c[i] = rng.randrange(1, 1 << ring.bits)
+    cases = [widest_sums(ring, order),
+             (rand_series(rng, ring, order, lo=1, hi=ring.mask), TruncatedSeries(ring, c))]
+    for a, d in cases:
+        inv = schoolbook_invert(list(d.coeffs), ring.mask)
+        assert list(d.invert().coeffs) == inv
+        assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, order + 1, ring.mask)
+
+
+@pytest.mark.parametrize("ring", BLOCK_RINGS, ids=str)
+def test_division_slots_hold_the_widest_block_sum(monkeypatch, ring):
+    # with B = 512 a product slot needs 2m + 9 bits, one past a whole byte
+    # in Z/2^4, Z/2^8, Z/2^32 and Z/2^64, and a buffer slot m + 1 bits
+    # (2**m - 1 plus the bias 2**m), one past a byte in Z/2^8, Z/2^32 and
+    # Z/2^64; widest_sums fills both
+    monkeypatch.setattr(series, "_block", lambda order, bits: 512)
+    order = 3 * 512 + 5
+    a, d = widest_sums(ring, order)
+    assert list((a / d).coeffs) == [(n + 1) & ring.mask for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_byte_sliced_product_at_every_slot_width(bits):
+    # every coefficient 2**m - 1, so coefficient k of a length-n product
+    # is (k + 1) (2**m - 1)**2 and the slot bound is n (2**m - 1)**2; at
+    # each length n where that bound needs one more byte, and at n - 1 and
+    # n + 1 (the top slot's carry leaves the product, so a slot one bit
+    # too narrow first shows at n + 1, through coefficient n - 1)
+    m = (1 << bits) - 1
+    steps = [n for n in range(2, 700)
+             if (n * m * m).bit_length() + 7 >> 3 > ((n - 1) * m * m).bit_length() + 7 >> 3]
+    assert steps
+    ring = mod2_ring(bits)
+    for n in [k + step for k in steps for step in (-1, 0, 1)]:
+        a = TruncatedSeries(ring, [m] * n)
+        assert list((a * a).coeffs) == schoolbook_mul(a.coeffs, a.coeffs, n, m)
 
 
 @pytest.mark.parametrize("ring", [EXACT, M32], ids=["Z", "Z/2^32"])
