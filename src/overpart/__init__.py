@@ -27,7 +27,7 @@ from .overpartitions import (
     two_adic,
 )
 from .series import EXACT, CoeffRing, TruncatedSeries, mod2_ring
-from .squares import ck_table, square_predicates
+from .squares import ck_table
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,5 @@ __all__ = [
     "TruncatedSeries",
     "mod2_ring",
     "ck_table",
-    "square_predicates",
     "__version__",
 ]

@@ -118,10 +118,8 @@ def cmd_gen(args) -> tuple[str, int]:
 
 
 def cmd_ck(args) -> tuple[str, int]:
-    table = ck_table(args.k, args.limit)
     header = ["n"] + [f"c{k}" for k in range(1, args.k + 1)]
-    rows = [[n] + [table.count(k, n) for k in range(1, args.k + 1)]
-            for n in range(args.limit + 1)]
+    rows = [[n, *counts] for n, counts in enumerate(zip(*ck_table(args.k, args.limit)))]
     return _emit_rows(args.format, header, rows), 0
 
 

@@ -37,7 +37,8 @@ from __future__ import annotations
 from math import isqrt
 
 from . import theta
-from .series import DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries, mod2_ring
+from .series import (DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries, _repeat,
+                     _unpack, _value_bytes, mod2_ring)
 # unused here; the benchmark's tracer wraps ck_table at this attribute
 from .squares import ck_table
 
@@ -70,16 +71,17 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     (see the module docstring).  Coefficient n sits in slot order - n, so
     X T reads T through right shifts by s^2 slots, each one bit short so
     that it also doubles.  Before the mask a slot is below 2^(m+1) r,
-    r = floor(sqrt(order)), which fixes the slot width w.
+    r = floor(sqrt(order)), which fixes the slot width w; it is never
+    narrower than the _value_bytes(m) bytes _unpack reads a value from.
     """
     _check_depth(depth)
     m = depth + 1
     r = isqrt(order)
-    sb = (m + 1 + r.bit_length() + 7) // 8
+    sb = max((m + 1 + r.bit_length() + 7) // 8, _value_bytes(m))
     w = 8 * sb
     plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
     minus = [s * s * w - 1 for s in range(2, r + 1, 2)]
-    ones = int.from_bytes((1).to_bytes(sb, "big") * (order + 1), "big")
+    ones = _repeat(1, sb, order + 1)
     mask = ones * ((1 << m) - 1)
     one = 1 << (order * w)  # the series 1: q^0 sits in the top slot
     # the lift covers the minus terms, each below 2^(m+1), and adds the 1
@@ -92,8 +94,7 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
         for sh in minus:
             u -= t >> sh
         t = u & mask
-    data = t.to_bytes((order + 1) * sb, "big")
-    c = [int.from_bytes(data[i:i + sb], "big") for i in range(0, len(data), sb)]
+    c = _unpack(t.to_bytes((order + 1) * sb, "little"), sb, m)[::-1]
     return TruncatedSeries(mod2_ring(m), c)
 
 

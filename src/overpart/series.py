@@ -8,15 +8,18 @@ Binary operations require the two operands to share a ring and truncate
 the result to the shorter operand's order.  _convolve is the one
 multiply: Kronecker substitution, with signed slots in Z and unsigned
 slots in Z/2**m, whose values are laid out and read back in C (by byte
-slicing for m <= 8, by a struct per slot above).  Division a / d, with
-inversion as 1 / d, has one recurrence, _recur, which groups the terms
-of d by value: one add per term plus one multiply per distinct value.
-In Z the coefficients grow without bound, no fixed slot width holds
-them, and _recur is the whole division.  In Z/2**m it only inverts d to
-the block order B = _block(order, m); each block of B quotient
-coefficients is then one multiply by that inverse, once the terms of d
-are summed over the finished blocks as slices of one packed byte buffer.
-All series are immutable.
+slicing for m <= 8, by a struct per slot above).  _unpack reads every
+packed integer in the package back into coefficients: these products,
+the division's blocks, the 2-adic source and the c_k(n) rows.
+
+Division a / d, with inversion as 1 / d, has one recurrence, _recur,
+which groups the terms of d by value: one add per term plus one multiply
+per distinct value.  In Z the coefficients grow without bound, no fixed
+slot width holds them, and _recur is the whole division.  In Z/2**m it
+only inverts d to the block order B = _block(order, m); each block of B
+quotient coefficients is then one multiply by that inverse, once the
+terms of d are summed over the finished blocks as slices of one packed
+byte buffer.  All series are immutable.
 """
 
 from __future__ import annotations
@@ -130,8 +133,11 @@ def _lay(vals: Sequence[int], sb: int, bits: int) -> bytes:
     return b"".join(map(_slot(sb, bits).pack, vals))
 
 
-def _unpack(data, sb: int, bits: int) -> Sequence[int]:
-    """The values of _lay(vals, sb, bits), read back from its bytes."""
+def _unpack(data, sb: int, bits: int | None = None) -> Sequence[int]:
+    """The values of _lay(vals, sb, bits), read back from its bytes.  bits
+    None: little-endian unsigned slots of any width, each read on its own."""
+    if bits is None:
+        return [int.from_bytes(data[i:i + sb], "little") for i in range(0, len(data), sb)]
     if bits <= 8:
         return data[::sb]
     return list(chain.from_iterable(_slot(sb, bits).iter_unpack(data)))
@@ -187,11 +193,7 @@ def _convolve(a: Sequence[int], b: Sequence[int], outlen: int,
     half = 1 << (slot_bits - 1)
     bias = _repeat(half, sb, outlen)
     low = (prod + bias) & ((1 << (outlen * slot_bits)) - 1)
-    data = low.to_bytes(outlen * sb, "little")
-    return [
-        int.from_bytes(data[i * sb:(i + 1) * sb], "little") - half
-        for i in range(outlen)
-    ]
+    return [v - half for v in _unpack(low.to_bytes(outlen * sb, "little"), sb)]
 
 
 def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,

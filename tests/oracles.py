@@ -5,6 +5,9 @@ a cross-check for the packed-integer convolution and the inversion
 recurrence.  Nothing in this module imports from overpart.
 """
 
+from math import isqrt
+from typing import NamedTuple
+
 
 def schoolbook_mul(a, b, outlen, mask=None):
     """Plain double-loop convolution of coefficient lists."""
@@ -61,17 +64,41 @@ def euler_product(n_max, sign, mask=None):
     return c
 
 
+class SquareKind(NamedTuple):
+    is_square: bool
+    is_twice_square: bool
+    is_odd_square: bool
+
+
+def square_predicates(n):
+    """Square / twice-a-square / odd-square tests, one n at a time: the
+    reference for the verifiers' byte masks."""
+    if n < 0:
+        raise ValueError(f"predicates defined for n >= 0, got {n}")
+    r = isqrt(n)
+    is_sq = r * r == n
+    h = isqrt(n // 2)
+    is_twice = n % 2 == 0 and 2 * h * h == n
+    return SquareKind(is_sq, is_twice, is_sq and r & 1 == 1)
+
+
+def square_indicator(order):
+    """S(q) = q + q^4 + q^9 + ... to q^order: 1 at the positive squares."""
+    squares = [0] * (order + 1)
+    s = 1
+    while s * s <= order:
+        squares[s * s] = 1
+        s += 1
+    return squares
+
+
 def two_adic_by_counts(order, depth, mask=None):
     """1 + sum_{k=1..depth} 2^k sum_n (-1)^(n+k) c_k(n) q^n, one (n, k) at a time.
 
     Row c_k is the k-th power of the square indicator, by repeated
     schoolbook multiplication.
     """
-    squares = [0] * (order + 1)
-    s = 1
-    while s * s <= order:
-        squares[s * s] = 1
-        s += 1
+    squares = square_indicator(order)
     out = [1] + [0] * order
     ck = [1] + [0] * order  # c_0
     for k in range(1, depth + 1):

@@ -11,15 +11,14 @@ import time
 import pytest
 
 from overpart import (CongruenceClaim, by_inversion, by_product, ck_table,
-                      mod2_ring, run_checks, scan_congruences,
-                      square_predicates, suite_checks, two_adic,
-                      verify_4n_relations, verify_dissection_mod16,
+                      mod2_ring, run_checks, scan_congruences, suite_checks,
+                      two_adic, verify_4n_relations, verify_dissection_mod16,
                       verify_progression)
 from overpart.congruence import (REGRESSION_CLAIMS, VERIFIED,
                                  dissection_rhs_mod16, known_claims)
 from overpart.theta import phi, phi_neg, psi, psi1, psi2
 
-from oracles import ck_bruteforce, count_by_enumeration
+from oracles import ck_bruteforce, count_by_enumeration, square_predicates
 
 
 @pytest.fixture
@@ -140,27 +139,26 @@ def test_criterion_7_known_congruences(criterion, pbar_mod32_20k):
 
 def test_criterion_8_ck_properties(criterion):
     def body():
-        table = ck_table(6, 8000)
-        # dynamic programming equals brute-force enumeration
-        for k in range(1, 7):
+        rows = ck_table(6, 8000)
+        # the table equals brute-force enumeration
+        for k, row in enumerate(rows, 1):
             for n in range(201):
-                assert table.count(k, n) == ck_bruteforce(k, n), (k, n)
+                assert row[n] == ck_bruteforce(k, n), (k, n)
         # c_k(4n) = c_k(n) for k <= 3
-        for k in (1, 2, 3):
-            row = table.row(k)
+        for k, row in enumerate(rows[:3], 1):
             for n in range(2001):
                 assert row[4 * n] == row[n], (k, n)
         # at multiples of ell not divisible by ell^2: c_1 vanishes,
         # c_2 is divisible by 4, c_3 by 2
+        c1, c2, c3, c4, c5, c6 = rows
         for ell in (7, 23):
             for m in range(ell, 5001, ell):
                 if m % (ell * ell) == 0:
                     continue
-                assert table.count(1, m) == 0, (ell, m)
-                assert table.count(2, m) % 4 == 0, (ell, m)
-                assert table.count(3, m) % 2 == 0, (ell, m)
+                assert c1[m] == 0, (ell, m)
+                assert c2[m] % 4 == 0, (ell, m)
+                assert c3[m] % 2 == 0, (ell, m)
         # difference divisibilities under their filters
-        c4, c5, c6 = table.row(4), table.row(5), table.row(6)
         for n in range(2001):
             if not square_predicates(n).is_odd_square:
                 assert (c4[4 * n] - c4[n]) % 2 == 0, n

@@ -93,6 +93,16 @@ def test_ck_output(capsys):
     assert lines[10] == "9,1,0,3"
 
 
+# sha256 of `ck --k 31 --limit 6000` stdout, the heaviest everyday ck run
+PINNED_CK_31 = "e10942a876a411e1056de835563eec26dcb66dd2d907df32cbabc6d90e2e3788"
+
+
+def test_ck_output_pinned(capsys):
+    code, out, _ = run_cli(capsys, "ck", "--k", "31", "--limit", "6000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CK_31
+
+
 def test_ck_validation(capsys):
     code, _, err = run_cli(capsys, "ck", "--k", "0", "--limit", "10")
     assert code == 2 and "error:" in err

@@ -17,7 +17,8 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  verify_mod8_nonsquare, verify_progression)
 from overpart.cli import main
 from overpart.overpartitions import by_inversion, by_product
-from overpart.squares import square_predicates
+
+from oracles import square_predicates
 
 
 # -- claims ----------------------------------------------------------------

@@ -5,9 +5,9 @@ import pytest
 from overpart import (EXACT, by_inversion, by_product, generating_series,
                       mod2_ring, two_adic)
 from overpart.series import DEFAULT_RING
-from overpart.squares import square_predicates
 
-from oracles import count_by_enumeration, pbar_by_recurrence, two_adic_by_counts
+from oracles import (count_by_enumeration, pbar_by_recurrence, square_predicates,
+                     two_adic_by_counts)
 
 FIRST_VALUES = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 
@@ -72,7 +72,7 @@ def test_two_adic_depth_one_values():
 
 
 @pytest.mark.parametrize("order", (0, 1, 3, 4, 8, 9, 15, 16, 17, 300, 1001))
-@pytest.mark.parametrize("depth", (1, 2, 3, 7, 31))
+@pytest.mark.parametrize("depth", (1, 2, 3, 7, 8, 15, 16, 31, 63))
 def test_two_adic_matches_sum_of_counts(order, depth):
     # the orders straddle the squares where floor(sqrt(order)), and with it
     # the slot width, changes

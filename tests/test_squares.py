@@ -4,78 +4,69 @@ from math import isqrt
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, ck_table, square_predicates
-from overpart.squares import positive_square_series
+from overpart import ck_table
 from overpart.theta import phi
 
-from oracles import ck_bruteforce
-
-
-def test_square_series_support():
-    s = positive_square_series(10)
-    assert s.coeffs == (0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0)
-    assert s[0] == 0
+from oracles import ck_bruteforce, schoolbook_mul, square_indicator, square_predicates
 
 
 def test_square_series_vs_phi():
     # phi(q) = 1 + 2 S(q)
-    one = TruncatedSeries.one(EXACT, 300)
-    assert one + 2 * positive_square_series(300) == phi(300)
+    assert phi(300).coeffs == tuple([1] + [2 * v for v in square_indicator(300)[1:]])
 
 
 def test_row1_is_square_indicator():
-    table = ck_table(1, 500)
+    row = ck_table(1, 500)[0]
     for n in range(501):
         r = isqrt(n)
-        assert table.count(1, n) == (1 if n > 0 and r * r == n else 0)
+        assert row[n] == (1 if n > 0 and r * r == n else 0)
 
 
 def test_small_values():
-    table = ck_table(4, 20)
-    assert table.count(2, 2) == 1   # (1,1)
-    assert table.count(2, 5) == 2   # (1,2) and (2,1)
-    assert table.count(3, 6) == 3   # permutations of (1,1,2)
-    assert table.count(4, 4) == 1   # (1,1,1,1)
-    assert table.count(1, 9) == 1
-    assert table.count(2, 3) == 0
-    assert table.count(2, 6) == 0
+    c1, c2, c3, c4 = ck_table(4, 20)
+    assert c2[2] == 1   # (1,1)
+    assert c2[5] == 2   # (1,2) and (2,1)
+    assert c3[6] == 3   # permutations of (1,1,2)
+    assert c4[4] == 1   # (1,1,1,1)
+    assert c1[9] == 1
+    assert c2[3] == 0
+    assert c2[6] == 0
 
 
 def test_zero_below_k():
-    table = ck_table(6, 40)
-    for k in range(1, 7):
-        assert table.count(k, 0) == 0
+    for k, row in enumerate(ck_table(6, 40), 1):
+        assert row[0] == 0
         for n in range(k):
-            assert table.count(k, n) == 0
-        assert table.count(k, k) == 1  # all-ones tuple
+            assert row[n] == 0
+        assert row[k] == 1  # all-ones tuple
 
 
 def test_brute_matches_table():
-    table = ck_table(5, 120)
-    for k in range(1, 6):
+    for k, row in enumerate(ck_table(5, 120), 1):
         for n in range(121):
-            assert table.count(k, n) == ck_bruteforce(k, n), (k, n)
+            assert row[n] == ck_bruteforce(k, n), (k, n)
 
 
-def test_row_equals_series_power():
-    s = positive_square_series(60)
-    assert ck_table(4, 60).row(4) == (s ** 4).coeffs
+def test_rows_equal_schoolbook_powers():
+    # the orders straddle the squares where floor(sqrt(order)), and with it
+    # the slot width, changes; at (64, 64) the 2^(n-1) bound sets the width
+    cases = [(8, order) for order in (0, 1, 3, 4, 8, 9, 15, 16, 300)] + [(64, 64)]
+    for kmax, order in cases:
+        s = square_indicator(order)
+        power = s
+        for k, row in enumerate(ck_table(kmax, order), 1):
+            assert row == power, (kmax, order, k)
+            power = schoolbook_mul(s, power, order + 1)
 
 
 def test_table_bounds():
-    table = ck_table(3, 40)
-    with pytest.raises(IndexError):
-        table.count(0, 5)
-    with pytest.raises(IndexError):
-        table.count(4, 5)
-    with pytest.raises(IndexError):
-        table.count(3, 41)
-    with pytest.raises(IndexError):
-        table.count(3, -1)
-    with pytest.raises(IndexError):
-        table.row(4)
+    rows = ck_table(3, 40)
+    assert len(rows) == 3
+    assert all(len(row) == 41 for row in rows)
     with pytest.raises(ValueError):
         ck_table(0, 5)
+    with pytest.raises(ValueError):
+        ck_table(1, -1)
 
 
 def test_bruteforce_bounds():
