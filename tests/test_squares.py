@@ -4,10 +4,15 @@ from math import isqrt
 
 import pytest
 
-from overpart import ck_table
+from overpart import EXACT, TruncatedSeries, ck_table
 from overpart.theta import phi
 
 from oracles import ck_bruteforce, schoolbook_mul, square_indicator, square_predicates
+
+
+def test_square_series_support():
+    # S(q) = q + q^4 + q^9 + ... is the first row of the table
+    assert ck_table(1, 10)[0] == [0, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0]
 
 
 def test_square_series_vs_phi():
@@ -57,6 +62,11 @@ def test_rows_equal_schoolbook_powers():
         for k, row in enumerate(ck_table(kmax, order), 1):
             assert row == power, (kmax, order, k)
             power = schoolbook_mul(s, power, order + 1)
+
+
+def test_row_equals_series_power():
+    s = TruncatedSeries(EXACT, square_indicator(60))
+    assert ck_table(4, 60)[3] == list((s ** 4).coeffs)
 
 
 def test_table_bounds():
