@@ -113,8 +113,7 @@ def cmd_gen(args) -> tuple[str, int]:
     else:
         ring, column = mod2_ring(_mod_bits(args.mod)), f"pbar_mod_{args.mod}"
     series = overpartitions.generating_series(args.limit, ring, args.source)
-    rows = [[n, series[n]] for n in range(args.limit + 1)]
-    return _emit_rows(args.format, ["n", column], rows), 0
+    return _emit_rows(args.format, ["n", column], list(enumerate(series.coeffs))), 0
 
 
 def cmd_ck(args) -> tuple[str, int]:
@@ -127,8 +126,7 @@ def cmd_dissect(args) -> tuple[str, int]:
     ring = EXACT if args.mod is None else mod2_ring(_mod_bits(args.mod))
     series = overpartitions.generating_series(args.limit, ring, args.source)
     sliced = series.dissect(args.t, args.r)
-    rows = [[n, sliced[n]] for n in range(sliced.order + 1)]
-    return _emit_rows(args.format, ["n", "value"], rows), 0
+    return _emit_rows(args.format, ["n", "value"], list(enumerate(sliced.coeffs))), 0
 
 
 def _sort_key(report):

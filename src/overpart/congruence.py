@@ -11,7 +11,9 @@ coefficients only, so any construction of the series (product,
 inversion, 2-adic to adequate depth) yields identical reports; a report
 does not record which one was used.  Checks are run by name through one
 entry point: run_checks(suite_checks(name), pbar, limit), where SUITES
-maps every suite name to its checks.
+maps every suite name to its checks and IDENTITIES maps every identity
+id to the modulus it reads, its reach and its verifier; series_order
+reads the same table to size and ring the series.
 
 One window rule serves every check and the scanner: the window is
 [0, limit], by default the widest the series holds, and a negative
@@ -46,7 +48,7 @@ from math import isqrt
 from operator import add, sub
 
 from . import theta
-from .numtheory import is_prime, is_qnr, jacobi
+from .numtheory import is_prime, jacobi
 from .series import CoeffRing, TruncatedSeries, mod2_ring
 
 VERIFIED = "Verified"
@@ -204,7 +206,7 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
     dichotomy_mod = 8 if ell % 8 in (1, 7) else 4
     claims += [
         CongruenceClaim(ell, r, dichotomy_mod)
-        for r in range(1, ell) if is_qnr(r, ell)
+        for r in range(1, ell) if jacobi(r, ell) == -1
     ]
     return sorted(claims)
 
@@ -232,14 +234,12 @@ _4N_TIERS = {
     128: (True, (1, 2, 3, 5, 6, 7), False),
 }
 
-_4N_PREFIX = "4n-vs-n-mod"
-
 
 def _4n_check(modulus: int) -> str:
     """The identity id of one pbar(4n) tier; rejects moduli with no tier."""
     if modulus not in _4N_TIERS:
         raise ValueError(f"no tier mod {modulus}; tiers: {sorted(_4N_TIERS)}")
-    return f"{_4N_PREFIX}{modulus}"
+    return f"4n-vs-n-mod{modulus}"
 
 
 def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
@@ -379,12 +379,23 @@ def _concat(*suites: str) -> list:
     return [check for suite in suites for check in suite_checks(suite)]
 
 
+# The identity checks: id -> (the modulus it reads, its reach, a call of
+# its verifier).  A check of reach r reads coefficients out to q^(r*limit).
+# Each row names its verifier inside a lambda, so the verifier is looked up
+# by its module-level name when the check runs and a wrapper installed on
+# the module sees every call.
+IDENTITIES = {
+    "mod8-nonsquare": (8, 1, lambda pbar, limit: verify_mod8_nonsquare(pbar, limit)),
+    "dissection-mod16": (16, 1, lambda pbar, limit: verify_dissection_mod16(pbar, limit)),
+    **{_4n_check(m): (m, 4, lambda pbar, limit, m=m: verify_4n_relations(pbar, m, limit))
+       for m in _4N_TIERS},
+}
+
+
 # The suites of `overpart verify`: name -> the checks it runs.  A check is
-# a CongruenceClaim or the id of an identity check, the same value its
-# report carries as subject.  A name ending in ":X" or ":X,Y,Z" takes
-# that many integer parameters.  Rows hold checks, not verifier
-# functions: run_checks looks each verifier up by its module-level name
-# when it runs, so a wrapper installed on the module sees every call.
+# a CongruenceClaim or a key of IDENTITIES, the same value its report
+# carries as subject.  A name ending in ":X" or ":X,Y,Z" takes that many
+# integer parameters.
 SUITES = {
     "thm-16n14": lambda: [CongruenceClaim(16, 14, 16)],
     "thm-ell:L": lambda ell: ell_family_claims(ell, 16),
@@ -423,41 +434,26 @@ def suite_checks(suite: str) -> list:
     raise ValueError(f"unknown suite {suite!r}; suites: {', '.join(SUITES)}")
 
 
-def _check_modulus(check) -> int:
-    """The modulus of the residues a check reads."""
+def _reads(check) -> tuple[int, int]:
+    """The modulus of the residues a check reads, and its reach."""
     if isinstance(check, CongruenceClaim):
-        return check.M
-    if check == "mod8-nonsquare":
-        return 8
-    if check == "dissection-mod16":
-        return 16
-    return int(check[len(_4N_PREFIX):])
+        return check.M, 1
+    return IDENTITIES[check][:2]
 
 
 def series_order(checks, limit: int) -> tuple[int, CoeffRing]:
     """The order and ring a series needs to run checks over the window
-    [0, limit]: a pbar(4n) tier reads coefficients out to 4*limit, and the
-    ring is Z/2^j for 2^j the largest modulus the checks read."""
-    reach = 4 if any(isinstance(c, str) and c.startswith(_4N_PREFIX)
-                     for c in checks) else 1
-    top = max(map(_check_modulus, checks))
+    [0, limit]: the order is the largest reach times limit, and the ring
+    is Z/2^j for 2^j the largest modulus the checks read."""
+    top, reach = map(max, zip(*map(_reads, checks)))
     return reach * limit, mod2_ring(top.bit_length() - 1)
 
 
 def run_checks(checks, pbar: TruncatedSeries,
                limit: int | None = None) -> list[VerificationReport]:
     """One report per check, in order."""
-    return [_run_check(c, pbar, limit) for c in checks]
-
-
-def _run_check(check, pbar, limit) -> VerificationReport:
-    if isinstance(check, CongruenceClaim):
-        return verify_progression(pbar, check, limit)
-    if check == "mod8-nonsquare":
-        return verify_mod8_nonsquare(pbar, limit)
-    if check == "dissection-mod16":
-        return verify_dissection_mod16(pbar, limit)
-    return verify_4n_relations(pbar, int(check[len(_4N_PREFIX):]), limit)
+    return [verify_progression(pbar, c, limit) if isinstance(c, CongruenceClaim)
+            else IDENTITIES[c][2](pbar, limit) for c in checks]
 
 
 def known_claims() -> frozenset:
@@ -503,8 +499,8 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     2^v in mods, so a row costs the same however many moduli are asked
     for.  v is found by asking the slice for 0, 1, ..., j - 1 in turn,
     each a memchr: pbar(n) is odd only at n = 0 and 2 mod 4 exactly at
-    the positive squares, so most rows stop at 0 or 1.  Hits come in
-    (A, B, M) order.
+    the positive squares, so most rows stop at 0 or 1.  Only the rows
+    that hold min_checks points are read.  Hits come in (A, B, M) order.
 
     Finite evidence only.  B = 0 rows include n = 0, where pbar(0) = 1
     kills the claim immediately; that is intentional (a congruence that
@@ -525,11 +521,13 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
     clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
     hits = []
+    # row An + B holds at least min_checks points iff B + span*A <= limit
+    span = min_checks - 1
+    if span:
+        amax = min(amax, limit // span)
     for A in range(1, amax + 1):
-        for B in range(A):
+        for B in range(min(A, limit - span * A + 1)):
             row = val[B::A]
-            if len(row) < min_checks:
-                continue
             v = 0
             while v < j and v not in row:
                 v += 1

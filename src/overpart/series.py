@@ -477,5 +477,4 @@ class TruncatedSeries:
         if self.ring.bits is not None and j > self.ring.bits:
             raise ValueError(
                 f"cannot widen {self.ring} to {ring}; bits above {self.ring.bits} are unknown")
-        m = ring.mask
-        return TruncatedSeries(ring, [c & m for c in self._coeffs])
+        return TruncatedSeries(ring, self._coeffs)

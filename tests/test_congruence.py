@@ -536,6 +536,59 @@ def test_series_order_gives_the_ring_the_checks_read(suite, order, bits):
     assert congruence.series_order(suite_checks(suite), 500) == (order, mod2_ring(bits))
 
 
+# what each identity id stands for, spelled out apart from IDENTITIES
+_IDENTITY_CALLS = {
+    "mod8-nonsquare": (8, 1, lambda pbar, limit: verify_mod8_nonsquare(pbar, limit)),
+    "dissection-mod16": (16, 1, lambda pbar, limit: verify_dissection_mod16(pbar, limit)),
+    **{f"4n-vs-n-mod{m}": (m, 4, lambda pbar, limit, m=m:
+                           verify_4n_relations(pbar, m, limit))
+       for m in (4, 8, 16, 32, 64, 128)},
+}
+
+
+@pytest.mark.parametrize("check", sorted(_IDENTITY_CALLS))
+def test_identity_table_runs_sizes_and_rings_each_check(check, pbar_mod32_20k):
+    modulus, reach, call = _IDENTITY_CALLS[check]
+    assert congruence.IDENTITIES[check][:2] == (modulus, reach)
+    assert congruence.series_order([check], 300) == (
+        reach * 300, mod2_ring(modulus.bit_length() - 1))
+    # pbar(250) and pbar(4*252) off by one: every check finds a witness
+    broken = list(pbar_mod32_20k.coeffs[:1201])
+    broken[250] += 1
+    broken[1008] += 1
+    for series, status in ((pbar_mod32_20k, VERIFIED),
+                           (TruncatedSeries(mod2_ring(32), broken), COUNTEREXAMPLE)):
+        direct = call(series, 300)
+        assert (direct.subject, direct.status) == (check, status)
+        assert run_checks([check], series, 300) == [direct]
+
+
+def test_identity_table_keys_are_the_suites_identity_ids():
+    samples = {"thm-ell:L": ["thm-ell:7"], "families8:L": ["families8:3"],
+               "claim:A,B,M": ["claim:16,14,16"],
+               "thm-4n:M": [f"thm-4n:{m}" for m in (4, 8, 16, 32, 64, 128)]}
+    suites = [s for name in congruence.SUITES for s in samples.get(name, [name])]
+    ids = {c for s in suites for c in suite_checks(s) if isinstance(c, str)}
+    assert ids == set(congruence.IDENTITIES) == set(_IDENTITY_CALLS)
+
+
+def test_run_checks_calls_each_verifier_through_the_module(monkeypatch, pbar_mod32_20k):
+    # a wrapper installed on the module sees every call run_checks makes
+    seen = []
+    for name in ("verify_progression", "verify_mod8_nonsquare",
+                 "verify_4n_relations", "verify_dissection_mod16"):
+        def wrapper(*args, _name=name, _real=getattr(congruence, name)):
+            seen.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(congruence, name, wrapper)
+    checks = [CongruenceClaim(16, 14, 16), "mod8-nonsquare", "4n-vs-n-mod32",
+              "dissection-mod16", "4n-vs-n-mod4"]
+    reports = run_checks(checks, pbar_mod32_20k, 300)
+    assert [r.subject for r in reports] == checks
+    assert seen == ["verify_progression", "verify_mod8_nonsquare", "verify_4n_relations",
+                    "verify_dissection_mod16", "verify_4n_relations"]
+
+
 def test_readme_suites_table_lists_every_suite():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme.split("| suite ", 1)[1].split("\n\n", 1)[0]
@@ -647,6 +700,46 @@ def test_scan_validation(pbar_mod32_20k):
         scan_congruences(pbar_mod32_20k, 4, (4,), 9, min_checks=11)
 
 
+def _verified_rows(series, amax, mods, limit, min_checks):
+    """{(A, B, M): checks} for every row that verify_progression passes
+    on at least min_checks points, B running over all of 0..A-1."""
+    verified = {}
+    for A in range(1, amax + 1):
+        for B in range(A):
+            for M in mods:
+                rep = verify_progression(series, CongruenceClaim(A, B, M), limit)
+                if rep.status == VERIFIED and rep.checks >= min_checks:
+                    verified[(A, B, M)] = rep.checks
+    return verified
+
+
+def _hit_rows(hits):
+    return {(h.claim.A, h.claim.B, h.claim.M): h.checks for h in hits}
+
+
+def test_scan_rows_past_the_bound_add_nothing(pbar_mod32_20k):
+    # with min_checks = 50, no row of [0, 2000] past A = 2000 // 49 holds 50 points
+    mods = (4, 8, 16, 64)
+    at_bound = scan_congruences(pbar_mod32_20k, 2000 // 49, mods, 2000)
+    assert max(h.claim.A for h in at_bound) == 2000 // 49
+    assert scan_congruences(pbar_mod32_20k, 4000, mods, 2000) == at_bound
+    # and none past A = 40 // 4 holds 5 points of [0, 40]
+    series = _zero_column(pbar_mod32_20k, 3, 1)
+    hits = scan_congruences(series, 30, mods, 40, min_checks=5)
+    assert hits == scan_congruences(series, 10, mods, 40, min_checks=5)
+    assert _hit_rows(hits) == _verified_rows(series, 30, mods, 40, 5)
+
+
+def test_scan_with_one_check_reads_no_offset_past_the_window(pbar_mod32_20k):
+    # min_checks = 1 bounds no A: rows with A > limit hold one point each
+    # for B <= limit, and none for B past the window
+    series = _zero_column(pbar_mod32_20k, 3, 1)
+    hits = scan_congruences(series, 60, (4, 16), 40, min_checks=1)
+    assert max(h.claim.A for h in hits) == 60
+    assert max(h.claim.B for h in hits) <= 40
+    assert _hit_rows(hits) == _verified_rows(series, 60, (4, 16), 40, 1)
+
+
 def _zero_column(series, A, B):
     """series with every coefficient on An + B set to 0."""
     return TruncatedSeries(series.ring, [0 if n % A == B else c
@@ -673,13 +766,7 @@ def test_scan_hits_are_the_verified_progressions(name, mods):
     series = SCAN_SERIES[name]()
     # A = 12 rows hold 67 points for B <= 8 and 66 beyond
     amax, limit, min_checks = 12, 800, 67
-    verified = {}
-    for A in range(1, amax + 1):
-        for B in range(A):
-            for M in mods:
-                rep = verify_progression(series, CongruenceClaim(A, B, M), limit)
-                if rep.status == VERIFIED and rep.checks >= min_checks:
-                    verified[(A, B, M)] = rep.checks
+    verified = _verified_rows(series, amax, mods, limit, min_checks)
     hits = scan_congruences(series, amax, mods, limit, min_checks)
     keys = [(h.claim.A, h.claim.B, h.claim.M) for h in hits]
     assert keys == sorted(verified)
