@@ -95,7 +95,7 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
             u -= t >> sh
         t = u & mask
     c = _unpack(t.to_bytes((order + 1) * sb, "little"), sb, m)[::-1]
-    return TruncatedSeries(mod2_ring(m), c)
+    return TruncatedSeries._reduced(mod2_ring(m), c)
 
 
 def generating_series(order: int, ring: CoeffRing | None = None,

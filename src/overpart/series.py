@@ -18,8 +18,12 @@ per distinct value.  In Z the coefficients grow without bound, no fixed
 slot width holds them, and _recur is the whole division.  In Z/2**m it
 only inverts d to the block order B = _block(order, m); each block of B
 quotient coefficients is then one multiply by that inverse, once the
-terms of d are summed over the finished blocks as slices of one packed
-byte buffer.  All series are immutable.
+terms of d are summed over the finished blocks as shifts of packed
+pairs of blocks.  All series are immutable.
+
+The public constructor reduces its coefficients into the ring.  Results
+whose values are already in it (products, quotients, reindexings) are
+stored by TruncatedSeries._reduced, which does not mask them again.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import rshift
 from typing import Iterable, Sequence
 
 
@@ -91,14 +96,14 @@ def _block(order: int, bits: int) -> int:
     16 * 2**(bit_length(order) // 3) when bits <= 8, half that for wider
     rings, and at least 64.
 
-    A block costs one slice per term of the divisor, whose fixed cost
-    larger blocks spread thinner, and one multiply of two B-slot packed
-    integers, whose cost per coefficient grows with B times the slot
-    width.  A product slot holds 2 bits + log2 B bits: 3 bytes in Z/2^7
-    at 4*10^4, 9 in Z/2^32, 17 in Z/2^64, so wider rings take shorter
-    blocks.  Timing 1 / phi(-q): in Z/2^7, 384 and 512 beat 256 and 1024
-    at 4*10^4, and 1024 beat 2048 at 4*10^5; in Z/2^16, Z/2^32 and Z/2^64
-    at 4*10^4, 128 to 256 beat 512.
+    A block costs one shift of a packed pair of blocks per term of the
+    divisor, whose fixed cost larger blocks spread thinner, and one
+    multiply of two B-slot packed integers, whose cost per coefficient
+    grows with B times the slot width.  A product slot holds 2 bits +
+    log2 B bits: 3 bytes in Z/2^7 at 4*10^4, 9 in Z/2^32, 17 in Z/2^64,
+    so wider rings take shorter blocks.  Timing 1 / phi(-q): in Z/2^7,
+    512 beat 256 and 1024 at 4*10^4 and tied 1024 at 10^5, and 1024 beat
+    2048 at 4*10^5; in Z/2^32 and Z/2^64 at 4*10^4, 128 and 256 beat 512.
     """
     return max(64, (16 if bits <= 8 else 8) << order.bit_length() // 3)
 
@@ -228,7 +233,8 @@ class TruncatedSeries:
     __slots__ = ("ring", "_coeffs")
 
     def __init__(self, ring: CoeffRing, coeffs: Iterable[int]):
-        # the one place coefficients are reduced into the ring
+        # the one place coefficients from outside are reduced into the ring;
+        # values already in it come through _reduced
         m = ring.mask
         coeffs = tuple(coeffs) if m is None else tuple(map(m.__and__, coeffs))
         if not coeffs:
@@ -242,12 +248,19 @@ class TruncatedSeries:
     # -- construction helpers ------------------------------------------
 
     @classmethod
+    def _reduced(cls, ring: CoeffRing, coeffs: Iterable[int]) -> "TruncatedSeries":
+        """A series of coefficients already in ring, stored without masking."""
+        series = cls(EXACT, coeffs)  # EXACT stores them as they are
+        object.__setattr__(series, "ring", ring)
+        return series
+
+    @classmethod
     def zero(cls, ring: CoeffRing, order: int) -> "TruncatedSeries":
-        return cls(ring, [0] * (order + 1))
+        return cls._reduced(ring, [0] * (order + 1))
 
     @classmethod
     def one(cls, ring: CoeffRing, order: int) -> "TruncatedSeries":
-        return cls(ring, [1] + [0] * order)
+        return cls._reduced(ring, [1] + [0] * order)
 
     @classmethod
     def monomial(cls, ring: CoeffRing, order: int, exponent: int,
@@ -330,7 +343,7 @@ class TruncatedSeries:
             return NotImplemented
         outlen = self._common(other) + 1
         prod = _convolve(self._coeffs, other._coeffs, outlen, self.ring.bits)
-        return TruncatedSeries(self.ring, prod)
+        return TruncatedSeries._reduced(self.ring, prod)
 
     __rmul__ = __mul__
 
@@ -362,20 +375,29 @@ class TruncatedSeries:
             r(n) = sum_{i > n-b} d(i) * c(n - i),  b <= n < e,
 
         so c_blk = P * (a_blk - r_blk) mod q^(e-b), and r reads only
-        finished blocks.  c is kept packed in a little-endian byte buffer
-        of wb-byte slots.  -r_blk is summed per distinct value of d, as
-        u = -d(i) mod 2**m taken in [-2**(m-1), 2**(m-1)): each term i adds
-        one int.from_bytes slice at offset b - i, and a term i < e - b
-        reads only its i slots, which end where the buffer does.  A bias K,
-        a multiple of 2**m above every negative sum, keeps each slot of
-        a_blk + K - r_blk non-negative, and one & with a repeated
-        2**m - 1 reduces them all.  One multiply by P, packed in wp-byte
-        slots, solves the block, and one more & reduces its slots; the
-        block is appended to the buffer packed, and the buffer is unpacked
-        once at the end.
+        finished blocks.  They are kept as packed integers of wb-byte
+        (w-bit) slots, in pairs: pairs[k] holds blocks k - 1 and k, 2B
+        slots, with block -1 all zeros.  -r_blk is summed per distinct
+        value of d, as u = -d(i) mod 2**m taken in [-2**(m-1), 2**(m-1)):
+        each term i adds the window of c from q^(b-i),
+        pairs[p // B] >> w * (p % B) with p = b - i + B.  Its e - b low
+        slots are exact: zeros below q^0 and, when i < e - b, zeros above
+        the last finished block.  Its higher slots are garbage, kept out of
+        the low ones because carries only move up.  pairs gains one entry
+        per block, so a term's pair counted from the end, and its shift,
+        never change, and each value's terms are one sum of shifts in C.
+        A bias K, a multiple of 2**m above every negative sum, keeps each
+        slot of a_blk + K - r_blk non-negative, and one & with a repeated
+        2**m - 1 reduces them all and drops the garbage.  One multiply by
+        P, packed in wp-byte slots, solves the block x, and one more &
+        reduces its slots; x completes the last pair and starts the next.
+        The blocks are unpacked once at the end, from the high halves.  A
+        short last block is solved at full width: its slots past q^order
+        keep within the same bounds, carry into nothing below and are
+        dropped there.
 
-        A buffer slot holds at most 2**m - 1 + K + (2**m - 1) * (the sum of
-        u > 0 over the terms), and a product slot B products below
+        A wb-byte slot holds at most 2**m - 1 + K + (2**m - 1) * (the sum
+        of u > 0 over the terms), and a product slot B products below
         (2**m - 1)**2.  The widths differ: 2 and 3 bytes for 1 / phi(-q),
         whose u are +-2, in Z/2^7 at 4*10^4, 10 and 17 bytes in Z/2^64.  A
         block moves between them by one _lay each way.  d(0) must be a
@@ -389,7 +411,8 @@ class TruncatedSeries:
         n = order + 1
         mask = self.ring.mask
         if mask is None:
-            return TruncatedSeries(self.ring, _recur(self._coeffs, d, n, inv0, -1))
+            return TruncatedSeries._reduced(
+                self.ring, _recur(self._coeffs, d, n, inv0, -1))
         bits = self.ring.bits
         block = min(_block(order, bits), n)
         lags = list(compress(range(1, n), d[1:n]))  # the exponents of the terms
@@ -403,31 +426,35 @@ class TruncatedSeries:
         wb = ((mask + bias + up * mask).bit_length() + 7) // 8
         wp = ((block * mask * mask).bit_length() + 7) // 8
         inv = _pack(_recur([1] + [0] * (block - 1), d, block, inv0, mask), wp, bits)
-        # block - 1 zero slots lead the buffer, so a term that reaches
-        # before q^0 reads zeros
-        pad = (block - 1) * wb
-        buf = bytearray(pad)
-        terms = {}  # u -> the exponents i < e with -d(i) = u mod 2**m
+        w = 8 * wb
+        top = w * block
+        biases = _repeat(bias, wb, block)
+        masks, maskp = _repeat(mask, wb, block), _repeat(mask, wp, block)
+        pairs = [0]  # blocks -1 and 0, until block 0 is finished
+        terms = {}  # u -> ([pair from the end], [shift]) of the terms with -d(i) = u
         a = self._coeffs
         for b in range(0, n, block):
-            e = min(b + block, n)
-            for i in lags[bisect_left(lags, b):bisect_left(lags, e)]:
-                terms.setdefault(signed[d[i]], []).append(i)
-            size = e - b
-            span = size * wb
-            r = _repeat(bias, wb, size)
-            for u, exps in terms.items():
-                t = 0
-                for i in exps:
-                    o = pad + (b - i) * wb
-                    t += int.from_bytes(buf[o:o + span], "little")
-                r += u * t
-            s = (_pack(a[b:e], wb, bits) + r) & _repeat(mask, wb, size)
+            for i in lags[bisect_left(lags, b):bisect_left(lags, b + block)]:
+                ks, shs = terms.setdefault(signed[d[i]], ([], []))
+                ks.append((block - i) // block - 1)
+                shs.append(w * (-i % block))
+            r = biases
+            for u, (ks, shs) in terms.items():
+                r += u * sum(map(rshift, map(pairs.__getitem__, ks), shs))
+            s = (_pack(a[b:b + block], wb, bits) + r) & masks
             if wp != wb:
-                s = _pack(_unpack(s.to_bytes(span, "little"), wb, bits), wp, bits)
-            blk = ((inv * s) & _repeat(mask, wp, size)).to_bytes(size * wp, "little")
-            buf += blk if wp == wb else _lay(_unpack(blk, wp, bits), wb, bits)
-        return TruncatedSeries(self.ring, _unpack(memoryview(buf)[pad:], wb, bits))
+                s = _pack(_unpack(s.to_bytes(block * wb, "little"), wb, bits), wp, bits)
+            x = inv * s & maskp
+            if wp != wb:
+                x = _pack(_unpack(x.to_bytes(block * wp, "little"), wp, bits), wb, bits)
+            pairs[-1] += x << top
+            pairs.append(x)
+        data = bytearray()
+        for p in pairs[:-1]:
+            data += (p >> top).to_bytes(block * wb, "little")
+        pairs.clear()  # two copies of the quotient; free them before its tuple
+        return TruncatedSeries._reduced(
+            self.ring, _unpack(memoryview(data)[:n * wb], wb, bits))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same order: one / self."""
@@ -441,7 +468,7 @@ class TruncatedSeries:
             raise ValueError(f"shift must be nonnegative, got {k}")
         if k > self.order:
             return TruncatedSeries.zero(self.ring, self.order)
-        return TruncatedSeries(
+        return TruncatedSeries._reduced(
             self.ring, (0,) * k + self._coeffs[:len(self._coeffs) - k])
 
     def substitute_power(self, t: int) -> "TruncatedSeries":
@@ -451,7 +478,7 @@ class TruncatedSeries:
         out = [0] * len(self._coeffs)
         for i in range(self.order // t + 1):
             out[i * t] = self._coeffs[i]
-        return TruncatedSeries(self.ring, out)
+        return TruncatedSeries._reduced(self.ring, out)
 
     def dissect(self, t: int, r: int) -> "TruncatedSeries":
         """Arithmetic-progression slice: result(n) = self(t*n + r).
@@ -465,7 +492,7 @@ class TruncatedSeries:
         if r > self.order:
             raise ValueError(
                 f"dissection residue {r} past truncation order {self.order}")
-        return TruncatedSeries(self.ring, self._coeffs[r::t])
+        return TruncatedSeries._reduced(self.ring, self._coeffs[r::t])
 
     def reduce_mod(self, j: int) -> "TruncatedSeries":
         """Reduce every coefficient into [0, 2**j); ring becomes Z/2**j.

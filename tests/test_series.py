@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, mod2_ring, series, theta
+from overpart import EXACT, TruncatedSeries, mod2_ring, overpartitions, series, theta
 
 from oracles import schoolbook_invert, schoolbook_mul
 
@@ -67,6 +67,7 @@ def test_construction_basics():
 def test_construction_normalizes_into_ring():
     s = TruncatedSeries(mod2_ring(4), [-1, 16, 17])
     assert s.coeffs == (15, 0, 1)
+    assert TruncatedSeries(mod2_ring(7), [-1, 128, 255]).coeffs == (127, 0, 127)
 
 
 def test_empty_series_rejected():
@@ -394,13 +395,38 @@ def test_division_over_real_blocks_matches_schoolbook(ring):
 @pytest.mark.parametrize("ring", BLOCK_RINGS, ids=str)
 def test_division_slots_hold_the_widest_block_sum(monkeypatch, ring):
     # with B = 512 a product slot needs 2m + 9 bits, one past a whole byte
-    # in Z/2^4, Z/2^8, Z/2^32 and Z/2^64, and a buffer slot m + 1 bits
+    # in Z/2^4, Z/2^8, Z/2^32 and Z/2^64, and a read slot m + 1 bits
     # (2**m - 1 plus the bias 2**m), one past a byte in Z/2^8, Z/2^32 and
     # Z/2^64; widest_sums fills both
     monkeypatch.setattr(series, "_block", lambda order, bits: 512)
     order = 3 * 512 + 5
     a, d = widest_sums(ring, order)
     assert list((a / d).coeffs) == [(n + 1) & ring.mask for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("ring", [mod2_ring(b) for b in (1, 7, 8, 9, 32, 64)], ids=str)
+def test_division_reads_finished_blocks_across_pair_edges(monkeypatch, ring):
+    # a block reads the quotient from pairs of finished blocks, by a pair
+    # index and a shift fixed per term: terms at B - 1, B and B + 1 read
+    # the last pair just short of, at and just past a block edge, terms at
+    # 2B and 3B - 1 read pairs further back.  Order 4B + 5 leaves a short
+    # last block, and the numerator is nonzero in every block.
+    block = 64
+    monkeypatch.setattr(series, "_block", lambda order, bits: block)
+    order = 4 * block + 5
+    c = [0] * (order + 1)
+    c[0] = 3
+    exps = (block - 1, block, block + 1, 2 * block, 3 * block - 1)
+    for i, v in zip(exps, (1, -1, 3, -3, 5)):
+        c[i] = v
+    d = TruncatedSeries(ring, c)
+    a = rand_series(random.Random(41), ring, order, lo=1, hi=ring.mask)
+    inv = schoolbook_invert(list(d.coeffs), ring.mask)
+    assert list(d.invert().coeffs) == inv
+    assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, order + 1, ring.mask)
+    # the short last block is solved at full width; a longer numerator
+    # fills its slots past q^order, which must not reach the quotient
+    assert TruncatedSeries(ring, a.coeffs + (ring.mask,) * block) / d == a / d
 
 
 @pytest.mark.parametrize("bits", range(1, 9))
@@ -506,6 +532,38 @@ def test_substitute_then_dissect_round_trip():
     a = rand_series(rng, EXACT, 40)
     for t in (2, 3, 7):
         assert a.substitute_power(t).dissect(t, 0).coeffs == a.coeffs[:a.order // t + 1]
+
+
+# -- reduce once -------------------------------------------------------------
+
+def assert_stored_as_constructed(s):
+    # what the public constructor, which reduces, makes of the coefficients
+    rebuilt = TruncatedSeries(s.ring, s.coeffs)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+    assert type(s.coeffs) is tuple and all(type(c) is int for c in s.coeffs)
+
+
+@pytest.mark.parametrize("ring", [EXACT, mod2_ring(1), mod2_ring(7), mod2_ring(8), M32],
+                         ids=str)
+def test_results_already_in_the_ring_are_stored_as_constructed(ring):
+    # products, quotients, reindexings, zero and one are stored without
+    # a second masking; order 200 spans several division blocks
+    rng = random.Random(42)
+    for n in (0, 5, 200):
+        a = rand_series(rng, ring, n, lo=-10**6, hi=10**6)
+        d = sparse_unit_series(rng, ring, n)
+        for s in (a * d, a ** 2, a / d, d.invert(), a.shift(3), a.substitute_power(2),
+                  a.dissect(2, n % 2), TruncatedSeries.zero(ring, n),
+                  TruncatedSeries.one(ring, n)):
+            assert s.ring == ring
+            assert_stored_as_constructed(s)
+
+
+@pytest.mark.parametrize("depth", [1, 6, 7, 31, 63])
+def test_two_adic_is_stored_as_constructed(depth):
+    s = overpartitions.two_adic(200, depth)
+    assert s.ring == mod2_ring(depth + 1)
+    assert_stored_as_constructed(s)
 
 
 # -- modulus changes -------------------------------------------------------
