@@ -325,7 +325,7 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     out = [0] * (order + 1)
     for j, f in slots:
         out[j::16] = (prefactor * f).coeffs[:(order - j) // 16 + 1]
-    return TruncatedSeries(ring, out)
+    return TruncatedSeries._reduced(ring, out)
 
 
 def verify_dissection_mod16(pbar: TruncatedSeries,

@@ -1,4 +1,4 @@
-"""Primality, Jacobi symbols, quadratic residues.  Machine-word scale."""
+"""Primality and Jacobi symbols.  Machine-word scale."""
 
 from __future__ import annotations
 
@@ -50,11 +50,3 @@ def jacobi(a: int, n: int) -> int:
         a %= n
     return result if n == 1 else 0
 
-
-def is_qnr(r: int, ell: int) -> bool:
-    """True when r is a quadratic nonresidue modulo an odd prime ell."""
-    if ell == 2 or not is_prime(ell):
-        raise ValueError(f"need an odd prime modulus, got {ell}")
-    if r % ell == 0:
-        raise ValueError(f"residue {r} divisible by {ell}; nonresidue test undefined")
-    return jacobi(r, ell) == -1

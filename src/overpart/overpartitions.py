@@ -38,7 +38,7 @@ from math import isqrt
 
 from . import theta
 from .series import (DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries, _repeat,
-                     _unpack, _value_bytes, mod2_ring)
+                     _unpack, mod2_ring)
 # unused here; the benchmark's tracer wraps ck_table at this attribute
 from .squares import ck_table
 
@@ -71,13 +71,12 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     (see the module docstring).  Coefficient n sits in slot order - n, so
     X T reads T through right shifts by s^2 slots, each one bit short so
     that it also doubles.  Before the mask a slot is below 2^(m+1) r,
-    r = floor(sqrt(order)), which fixes the slot width w; it is never
-    narrower than the _value_bytes(m) bytes _unpack reads a value from.
+    r = floor(sqrt(order)), which fixes the slot width w.
     """
     _check_depth(depth)
     m = depth + 1
     r = isqrt(order)
-    sb = max((m + 1 + r.bit_length() + 7) // 8, _value_bytes(m))
+    sb = (m + 1 + r.bit_length() + 7) // 8
     w = 8 * sb
     plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
     minus = [s * s * w - 1 for s in range(2, r + 1, 2)]

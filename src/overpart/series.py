@@ -7,10 +7,12 @@ every coefficient an operation reports is one it actually knows.
 Binary operations require the two operands to share a ring and truncate
 the result to the shorter operand's order.  _convolve is the one
 multiply: Kronecker substitution, with signed slots in Z and unsigned
-slots in Z/2**m, whose values are laid out and read back in C (by byte
-slicing for m <= 8, by a struct per slot above).  _unpack reads every
-packed integer in the package back into coefficients: these products,
-the division's blocks, the 2-adic source and the c_k(n) rows.
+slots in Z/2**m.  _pack and _unpack lay coefficients into slots and
+read them back; in Z/2**m, at every width, by one struct call over a
+contiguous run of the values and one slice assignment per value byte
+(_reslot) between that run and the slots.  _unpack reads every packed
+integer in the package back into coefficients: these products, the
+division's blocks, the 2-adic source and the c_k(n) rows.
 
 Division a / d, with inversion as 1 / d, has one recurrence, _recur,
 which groups the terms of d by value: one add per term plus one multiply
@@ -32,7 +34,7 @@ import struct
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import rshift
 from typing import Iterable, Sequence
 
@@ -99,7 +101,7 @@ def _block(order: int, bits: int) -> int:
     A block costs one shift of a packed pair of blocks per term of the
     divisor, whose fixed cost larger blocks spread thinner, and one
     multiply of two B-slot packed integers, whose cost per coefficient
-    grows with B times the slot width.  A product slot holds 2 bits +
+    grows with B times the slot width.  A product slot holds 2 * bits +
     log2 B bits: 3 bytes in Z/2^7 at 4*10^4, 9 in Z/2^32, 17 in Z/2^64,
     so wider rings take shorter blocks.  Timing 1 / phi(-q): in Z/2^7,
     512 beat 256 and 1024 at 4*10^4 and tied 1024 at 10^5, and 1024 beat
@@ -113,49 +115,47 @@ def _repeat(x: int, sb: int, n: int) -> int:
     return int.from_bytes(x.to_bytes(sb, "little") * n, "little")
 
 
-def _value_bytes(bits: int) -> int:
-    """The low bytes of a slot a value below 2**bits is laid out in: 1, 2,
-    4 or 8."""
-    return 1 << ((bits - 1) // 8).bit_length()
+def _reslot(data, src: int, dst: int, bits: int):
+    """Slots of src bytes, each holding a value below 2**bits, as slots of
+    dst bytes: the ceil(bits/8) low bytes of every slot are copied by one
+    slice assignment each, and the rest of the new slots are zeros."""
+    if src == dst:
+        return data
+    out = bytearray(len(data) // src * dst)
+    for j in range((bits + 7) // 8):
+        out[j::dst] = data[j::src]
+    return out
 
 
-def _slot(sb: int, bits: int) -> struct.Struct:
-    """One little-endian slot of sb bytes holding an unsigned value below
-    2**bits, 8 < bits <= 64, in its low _value_bytes(bits) bytes."""
-    vb = _value_bytes(bits)
-    code = {2: "H", 4: "I", 8: "Q"}[vb]
-    return struct.Struct(f"<{code}{sb - vb}x")
-
-
-def _lay(vals: Sequence[int], sb: int, bits: int) -> bytes:
-    """Values in [0, 2**bits) as little-endian sb-byte slots, each value in
-    the low bytes of its slot, laid out in C: by one slice assignment when
-    bits <= 8, else by a struct per slot."""
-    if bits <= 8:
-        buf = bytearray(len(vals) * sb)
-        buf[::sb] = bytes(vals)
-        return buf
-    return b"".join(map(_slot(sb, bits).pack, vals))
+def _run(bits: int) -> tuple[int, str]:
+    """Bytes and struct code of one value below 2**bits in a contiguous
+    run: the narrowest of 1, 2, 4 or 8 bytes that holds it."""
+    vb = 1 << ((bits - 1) // 8).bit_length()
+    return vb, {1: "B", 2: "H", 4: "I", 8: "Q"}[vb]
 
 
 def _unpack(data, sb: int, bits: int | None = None) -> Sequence[int]:
-    """The values of _lay(vals, sb, bits), read back from its bytes.  bits
-    None: little-endian unsigned slots of any width, each read on its own."""
+    """The values of little-endian sb-byte slots.  bits: each lies in
+    [0, 2**bits) and all come back from one struct call, after a _reslot
+    to the run's width.  bits None: slots of any width, each read on its
+    own."""
     if bits is None:
         return [int.from_bytes(data[i:i + sb], "little") for i in range(0, len(data), sb)]
-    if bits <= 8:
-        return data[::sb]
-    return list(chain.from_iterable(_slot(sb, bits).iter_unpack(data)))
+    vb, code = _run(bits)
+    return struct.unpack(f"<{len(data) // sb}{code}", _reslot(data, sb, vb, bits))
 
 
 def _pack(vals: Sequence[int], sb: int, bits: int | None = None) -> int:
     """Pack slot values into one integer, sb bytes per slot.
 
-    bits: every value lies in [0, 2**bits), laid out by _lay.  bits None:
-    each slot is written on its own, and values may be negative.
+    bits: every value lies in [0, 2**bits), laid out by one struct call
+    and a _reslot to sb-byte slots.  bits None: each slot is written on
+    its own, and values may be negative.
     """
     if bits is not None:
-        return int.from_bytes(_lay(vals, sb, bits), "little")
+        vb, code = _run(bits)
+        return int.from_bytes(
+            _reslot(struct.pack(f"<{len(vals)}{code}", *vals), vb, sb, bits), "little")
     pos = bytearray(len(vals) * sb)
     neg = bytearray(len(vals) * sb)
     for i, c in enumerate(vals):
@@ -188,8 +188,10 @@ def _convolve(a: Sequence[int], b: Sequence[int], outlen: int,
         return [0] * outlen
     top = amax * bmax * min(len(a), len(b))
     if bits:
-        sb = max((top.bit_length() + 7) // 8, _value_bytes(bits))
-        low = _pack(a, sb, bits) * _pack(b, sb, bits) & _repeat((1 << bits) - 1, sb, outlen)
+        mask = (1 << bits) - 1
+        # a slot holds the largest sum and the mask that the & repeats
+        sb = (max(top, mask).bit_length() + 7) // 8
+        low = _pack(a, sb, bits) * _pack(b, sb, bits) & _repeat(mask, sb, outlen)
         return _unpack(low.to_bytes(outlen * sb, "little"), sb, bits)
     # |sum| <= top, two spare bits keep it under half a slot
     sb = (top.bit_length() + 2 + 7) // 8
@@ -400,7 +402,7 @@ class TruncatedSeries:
         of u > 0 over the terms), and a product slot B products below
         (2**m - 1)**2.  The widths differ: 2 and 3 bytes for 1 / phi(-q),
         whose u are +-2, in Z/2^7 at 4*10^4, 10 and 17 bytes in Z/2^64.  A
-        block moves between them by one _lay each way.  d(0) must be a
+        block moves between them by one _reslot each way.  d(0) must be a
         unit: +-1 exactly, or odd mod 2**m.
         """
         if not isinstance(other, TruncatedSeries):
@@ -442,11 +444,9 @@ class TruncatedSeries:
             for u, (ks, shs) in terms.items():
                 r += u * sum(map(rshift, map(pairs.__getitem__, ks), shs))
             s = (_pack(a[b:b + block], wb, bits) + r) & masks
-            if wp != wb:
-                s = _pack(_unpack(s.to_bytes(block * wb, "little"), wb, bits), wp, bits)
-            x = inv * s & maskp
-            if wp != wb:
-                x = _pack(_unpack(x.to_bytes(block * wp, "little"), wp, bits), wb, bits)
+            s = _reslot(s.to_bytes(block * wb, "little"), wb, wp, bits)
+            x = inv * int.from_bytes(s, "little") & maskp
+            x = int.from_bytes(_reslot(x.to_bytes(block * wp, "little"), wp, wb, bits), "little")
             pairs[-1] += x << top
             pairs.append(x)
         data = bytearray()

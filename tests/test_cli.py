@@ -18,6 +18,8 @@ from overpart import cli, congruence, overpartitions
 from overpart.cli import main
 from overpart.series import mod2_ring
 
+from oracles import pbar_by_recurrence
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -78,6 +80,22 @@ def test_gen_flag_validation(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "gen", "--limit", "3", "--source", "magic")
     assert code == 2
+
+
+def test_gen_mod_every_width_prints_the_exact_column(capsys):
+    # every modulus --mod accepts, 2 .. 2^64, builds its ring and exits 0;
+    # exit 3 is kept for bugs.  Both sources divide in Z/2^m, at widths
+    # whose slots are narrower than a 4- or 8-byte value (m = 17..22 and
+    # 33..54 among them).
+    exact = pbar_by_recurrence(100)
+    for m in range(1, 65):
+        for limit in (1, 100):
+            want = f"n,pbar_mod_{2 ** m}\n" + "".join(
+                f"{n},{c % 2 ** m}\n" for n, c in enumerate(exact[:limit + 1]))
+            for source in ("invert", "product"):
+                code, out, _ = run_cli(capsys, "gen", "--limit", str(limit),
+                                       "--mod", str(2 ** m), "--source", source)
+                assert (code, out) == (0, want), (m, limit, source)
 
 
 # -- ck ---------------------------------------------------------------------

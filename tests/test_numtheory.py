@@ -1,10 +1,10 @@
-"""Primality, Jacobi symbols, quadratic nonresidues."""
+"""Primality and Jacobi symbols."""
 
 import random
 
 import pytest
 
-from overpart.numtheory import is_prime, is_qnr, jacobi
+from overpart.numtheory import is_prime, jacobi
 
 
 def sieve(limit):
@@ -72,14 +72,3 @@ def test_jacobi_errors():
         with pytest.raises(ValueError):
             jacobi(3, bad_n)
 
-
-def test_is_qnr():
-    assert {r for r in range(1, 7) if is_qnr(r, 7)} == {3, 5, 6}
-    assert {r for r in range(1, 11) if is_qnr(r, 11)} == {2, 6, 7, 8, 10}
-    assert is_qnr(10, 7)  # reduced mod 7 first
-    with pytest.raises(ValueError):
-        is_qnr(2, 9)    # composite modulus
-    with pytest.raises(ValueError):
-        is_qnr(2, 2)    # even modulus
-    with pytest.raises(ValueError):
-        is_qnr(14, 7)   # residue divisible by the prime

@@ -361,7 +361,9 @@ def test_block_rule_picks():
     assert series._block(4 * 10**4, 9) == series._block(4 * 10**4, 64) == 256
 
 
-BLOCK_RINGS = [mod2_ring(b) for b in (1, 4, 7, 8, 32, 64)]
+# 17, 20, 33 and 48 bits put values in slots narrower than the 4 or 8
+# bytes of a struct code, which a slot layout must not need
+BLOCK_RINGS = [mod2_ring(b) for b in (1, 4, 7, 8, 17, 20, 32, 33, 48, 64)]
 
 
 def widest_sums(ring, order):
@@ -376,7 +378,8 @@ def widest_sums(ring, order):
 @pytest.mark.parametrize("ring", BLOCK_RINGS, ids=str)
 def test_division_over_real_blocks_matches_schoolbook(ring):
     # at least three blocks of the size _block picks, d(0) odd and not 1
-    # (every unit is 1 in Z/2), and a numerator nonzero in every block
+    # (every unit is 1 in Z/2), and a numerator nonzero in every block;
+    # the one-term divisor 1 + q gives the narrowest read slot, m + 1 bits
     order = 200
     assert order + 1 > 3 * series._block(order, ring.bits)
     rng = random.Random(40)
@@ -384,8 +387,9 @@ def test_division_over_real_blocks_matches_schoolbook(ring):
     c[0] = 3
     for i in rng.sample(range(1, order + 1), 40):
         c[i] = rng.randrange(1, 1 << ring.bits)
-    cases = [widest_sums(ring, order),
-             (rand_series(rng, ring, order, lo=1, hi=ring.mask), TruncatedSeries(ring, c))]
+    a = rand_series(rng, ring, order, lo=1, hi=ring.mask)
+    cases = [widest_sums(ring, order), (a, TruncatedSeries(ring, c)),
+             (a, TruncatedSeries(ring, [1, 1] + [0] * (order - 1)))]
     for a, d in cases:
         inv = schoolbook_invert(list(d.coeffs), ring.mask)
         assert list(d.invert().coeffs) == inv
@@ -404,7 +408,8 @@ def test_division_slots_hold_the_widest_block_sum(monkeypatch, ring):
     assert list((a / d).coeffs) == [(n + 1) & ring.mask for n in range(order + 1)]
 
 
-@pytest.mark.parametrize("ring", [mod2_ring(b) for b in (1, 7, 8, 9, 32, 64)], ids=str)
+@pytest.mark.parametrize("ring", [mod2_ring(b) for b in (1, 7, 8, 9, 17, 20, 32, 33, 48, 64)],
+                         ids=str)
 def test_division_reads_finished_blocks_across_pair_edges(monkeypatch, ring):
     # a block reads the quotient from pairs of finished blocks, by a pair
     # index and a shift fixed per term: terms at B - 1, B and B + 1 read
@@ -429,7 +434,7 @@ def test_division_reads_finished_blocks_across_pair_edges(monkeypatch, ring):
     assert TruncatedSeries(ring, a.coeffs + (ring.mask,) * block) / d == a / d
 
 
-@pytest.mark.parametrize("bits", range(1, 9))
+@pytest.mark.parametrize("bits", [*range(1, 10), 16, 17, 24, 33, 48, 64])
 def test_byte_sliced_product_at_every_slot_width(bits):
     # every coefficient 2**m - 1, so coefficient k of a length-n product
     # is (k + 1) (2**m - 1)**2 and the slot bound is n (2**m - 1)**2; at
