@@ -10,12 +10,12 @@ verification found a counterexample, 2 on usage errors, including a verify
 window that reaches no point of its suite (every check Skipped), a scan
 window too short for --min-checks and a 2adic:K source asked for more than
 pbar mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
-stderr).  JSON output is a single document; CSV is unquoted.  Reports do
-not know which construction built their series; verify stamps --source
-on every row.  scan checks its arguments before it builds the series,
-builds it in the ring of its largest modulus, and writes its JSON from
-one %-format template per hit, byte for byte what json.dumps(indent=2)
-gives for the hits' as_json_dict() list.
+stderr, and only this path imports traceback).  JSON output is one
+document; CSV is unquoted.  Reports do not know which construction built
+their series; verify stamps --source on every row.  scan checks its
+arguments before it builds the series, builds it in the ring of its
+largest modulus, and writes its JSON from one %-format template per hit,
+byte for byte json.dumps(indent=2) of the hits' as_json_dict() list.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
 
 from . import congruence, overpartitions
 from .series import EXACT, mod2_ring
@@ -94,7 +93,7 @@ def _mod_bits(modulus: int) -> int:
 def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> str:
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(str(v) for v in row) for row in rows]
+        lines += [",".join(map(str, row)) for row in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
         doc = [dict(zip(header, row)) for row in rows]
@@ -210,6 +209,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
+        import traceback
         traceback.print_exc()
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 3

@@ -38,11 +38,14 @@ the least valuation on its slice, found by asking the slice for 0, 1, 2,
 ... in turn (each a memchr).  Its evidence threshold is min_checks.
 scan_plan checks a scan's arguments before any series is built and names
 the ring it reads, Z/2^j.
+
+Claims, reports and scan hits are immutable named tuples: a claim orders,
+hashes and compares as (A, B, M), and _make and _replace check it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, compress
 from math import isqrt
 from operator import add, sub
@@ -58,25 +61,25 @@ SKIPPED = "Skipped"
 _SCAN_MODULI = (4, 8, 16, 32, 64, 128)
 
 
-@dataclass(frozen=True, order=True)
-class CongruenceClaim:
+class CongruenceClaim(namedtuple("CongruenceClaim", "A B M")):
     """pbar(A*n + B) == 0 (mod M) for all n >= 0."""
 
-    A: int
-    B: int
-    M: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.A < 1:
-            raise ValueError(f"progression step must be >= 1, got A={self.A}")
-        if not 0 <= self.B < self.A:
-            raise ValueError(f"offset must satisfy 0 <= B < A, got B={self.B} A={self.A}")
-        if self.M < 2 or self.M & (self.M - 1):
-            raise ValueError(f"modulus must be a power of two >= 2, got M={self.M}")
+    def __new__(cls, A: int, B: int, M: int):
+        if A < 1:
+            raise ValueError(f"progression step must be >= 1, got A={A}")
+        if not 0 <= B < A:
+            raise ValueError(f"offset must satisfy 0 <= B < A, got B={B} A={A}")
+        if M < 2 or M & (M - 1):
+            raise ValueError(f"modulus must be a power of two >= 2, got M={M}")
+        return tuple.__new__(cls, (A, B, M))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(namedtuple(
+        "VerificationReport", "subject status range_checked witness checks")):
     """Outcome of one claim or identity check over a finite window.
 
     subject is a CongruenceClaim or a string identity id; range_checked is
@@ -86,11 +89,7 @@ class VerificationReport:
     report.
     """
 
-    subject: CongruenceClaim | str
-    status: str
-    range_checked: int
-    witness: tuple[int, int] | None
-    checks: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -107,13 +106,10 @@ class VerificationReport:
         return out
 
 
-@dataclass
-class ScanHit:
+class ScanHit(namedtuple("ScanHit", "claim checks known")):
     """A progression the scanner could not refute within its window."""
 
-    claim: CongruenceClaim
-    checks: int
-    known: bool
+    __slots__ = ()
 
     @property
     def label(self) -> str:

@@ -32,27 +32,29 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import compress
 from operator import rshift
-from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class CoeffRing:
+class CoeffRing(namedtuple("CoeffRing", "bits")):
     """Coefficient ring: exact integers when bits is None, else Z/2**bits.
 
     Modular coefficients are stored reduced into [0, 2**bits).  bits is
     capped at 64; larger two-power moduli are outside the contract and
-    exact arithmetic covers them anyway.
+    exact arithmetic covers them anyway.  A ring is the named tuple (bits,),
+    and _make and _replace check the width as the constructor does.
     """
 
-    bits: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bits is not None and not 1 <= self.bits <= 64:
-            raise ValueError(f"modulus width must be 1..64 bits, got {self.bits}")
+    def __new__(cls, bits: int | None = None):
+        if bits is not None and not 1 <= bits <= 64:
+            raise ValueError(f"modulus width must be 1..64 bits, got {bits}")
+        return tuple.__new__(cls, (bits,))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it
 
     @property
     def is_exact(self) -> bool:
@@ -136,10 +138,9 @@ def _run(bits: int) -> tuple[int, str]:
 
 def _unpack(data, sb: int, bits: int | None = None) -> Sequence[int]:
     """The values of little-endian sb-byte slots.  bits: each lies in
-    [0, 2**bits) and all come back from one struct call, after a _reslot
-    to the run's width.  bits None: slots of any width, each read on its
-    own."""
-    if bits is None:
+    [0, 2**bits) and, for bits <= 64, all come back from one struct call
+    after a _reslot to the run's width.  Else each slot is read on its own."""
+    if bits is None or bits > 64:
         return [int.from_bytes(data[i:i + sb], "little") for i in range(0, len(data), sb)]
     vb, code = _run(bits)
     return struct.unpack(f"<{len(data) // sb}{code}", _reslot(data, sb, vb, bits))

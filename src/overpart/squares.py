@@ -25,12 +25,14 @@ def ck_table(kmax: int, order: int) -> tuple:
     the low end.  A row times S is then the sum of its floor(sqrt(order))
     shifts, exact and unsigned.  No slot overflows: each part of a tuple
     is at most floor(sqrt(order)), so c_k(n) <= floor(sqrt(order))^kmax,
-    and a tuple is a composition of n, so c_k(n) <= 2^(order - 1).
+    and a tuple is a composition of n, so c_k(n) <= 2^(order - 1).  A
+    bound of at most 64 bits lets _unpack read a row by one struct call.
     """
     if kmax < 1 or order < 0:
         raise ValueError(f"table needs kmax >= 1 and order >= 0, got {kmax}, {order}")
     r = isqrt(order)
-    sb = max(1, (min(r ** kmax, 2 ** order // 2).bit_length() + 7) // 8)
+    bits = max(1, min(r ** kmax, 2 ** order // 2).bit_length())
+    sb = (bits + 7) // 8
     w = 8 * sb
     shifts = [s * s * w for s in range(1, r + 1)]
     size = (order + 1) * sb
@@ -38,5 +40,5 @@ def ck_table(kmax: int, order: int) -> tuple:
     rows = []
     for _ in range(kmax):
         t = sum(map(t.__rshift__, shifts))
-        rows.append(_unpack(t.to_bytes(size, "little"), sb)[::-1])
+        rows.append(list(reversed(_unpack(t.to_bytes(size, "little"), sb, bits))))
     return tuple(rows)

@@ -1,13 +1,15 @@
 """Claim validation, the verifiers, the dissection, and the scanner."""
 
 import json
+import pickle
 import re
 from pathlib import Path
 
 import pytest
 
-from overpart import (CongruenceClaim, EXACT, TruncatedSeries, mod2_ring,
-                      run_checks, scan_congruences, suite_checks)
+from overpart import (CongruenceClaim, EXACT, ScanHit, TruncatedSeries,
+                      VerificationReport, mod2_ring, run_checks,
+                      scan_congruences, suite_checks)
 from overpart import congruence, theta
 from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  VERIFIED, combined_family_claims,
@@ -30,12 +32,40 @@ def test_claim_validation():
                     (4, 3, 12), (4, 3, 1), (4, 3, 0)]:
         with pytest.raises(ValueError):
             CongruenceClaim(a, b, m)
+        with pytest.raises(ValueError):
+            CongruenceClaim(A=a, B=b, M=m)
+        with pytest.raises(ValueError):
+            CongruenceClaim._make((a, b, m))
+    # _make and _replace build through the validating constructor
+    with pytest.raises(ValueError, match="power of two"):
+        CongruenceClaim(4, 3, 8)._replace(M=3)
+    with pytest.raises(ValueError, match="step"):
+        CongruenceClaim._make((0, 0, 8))
+    assert CongruenceClaim(4, 3, 8)._replace(M=16) == CongruenceClaim(4, 3, 16)
 
 
 def test_claims_order_and_hash():
     a, b = CongruenceClaim(4, 3, 8), CongruenceClaim(5, 2, 4)
     assert a < b
     assert len({a, b, CongruenceClaim(4, 3, 8)}) == 2
+    assert repr(a) == "CongruenceClaim(A=4, B=3, M=8)"
+    assert hash(a) == hash((4, 3, 8))
+    # a claim is the tuple (A, B, M): it orders, compares and unpacks as one
+    assert sorted([CongruenceClaim(4, 3, 16), b, a, CongruenceClaim(4, 1, 32)]) == [
+        (4, 1, 32), (4, 3, 8), (4, 3, 16), (5, 2, 4)]
+    assert a == (4, 3, 8) and tuple(a) == (4, 3, 8)
+    A, B, M = a
+    assert (A, B, M) == (a.A, a.B, a.M)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert type(pickle.loads(pickle.dumps(a))) is CongruenceClaim
+    # rings, claims, reports and hits are all immutable
+    report = VerificationReport(a, VERIFIED, 100, None, 25)
+    for record in (mod2_ring(7), a, report, ScanHit(a, 25, True)):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1)
+        with pytest.raises(AttributeError):
+            record.extra = 1
 
 
 # -- verify_progression ------------------------------------------------------

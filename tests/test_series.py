@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from overpart import EXACT, TruncatedSeries, mod2_ring, overpartitions, series, theta
+from overpart import EXACT, CoeffRing, TruncatedSeries, mod2_ring, overpartitions, series, theta
 
 from oracles import schoolbook_invert, schoolbook_mul
 
@@ -37,6 +37,17 @@ def test_ring_labels():
 def test_ring_width_bounds(bits):
     with pytest.raises(ValueError):
         mod2_ring(bits)
+    # keyword construction, _make and _replace check the width too
+    with pytest.raises(ValueError):
+        CoeffRing(bits=bits)
+    with pytest.raises(ValueError):
+        CoeffRing._make((bits,))
+    with pytest.raises(ValueError):
+        mod2_ring(7)._replace(bits=bits)
+    ring = mod2_ring(7)
+    assert repr(ring) == "CoeffRing(bits=7)" and repr(EXACT) == "CoeffRing(bits=None)"
+    assert hash(ring) == hash((7,)) and ring == (7,)
+    assert CoeffRing(bits=7) == ring._replace(bits=7) == CoeffRing._make([7]) == ring
 
 
 def test_unit_inverses():

@@ -54,8 +54,13 @@ def test_brute_matches_table():
 
 def test_rows_equal_schoolbook_powers():
     # the orders straddle the squares where floor(sqrt(order)), and with it
-    # the slot width, changes; at (64, 64) the 2^(n-1) bound sets the width
-    cases = [(8, order) for order in (0, 1, 3, 4, 8, 9, 15, 16, 300)] + [(64, 64)]
+    # the slot width, changes; at (64, 64) the 2^(n-1) bound sets the width.
+    # The bound's bit length picks the read: struct runs of 1 byte at orders
+    # 0 and 1 (bounds 0 and 1) and (8, 8), of 2, 4 and 8 bytes at (8, 16),
+    # (5, 300) and (8, 300), and slot by slot past 64 bits at (31, 300)
+    cases = [(kmax, order) for kmax in (1, 8) for order in (0, 1)]
+    cases += [(8, order) for order in (3, 4, 8, 9, 15, 16, 300)]
+    cases += [(64, 64), (5, 300), (31, 300)]
     for kmax, order in cases:
         s = square_indicator(order)
         power = s

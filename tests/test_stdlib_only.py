@@ -1,7 +1,9 @@
-"""The package imports nothing outside the standard library, and the test
-oracles import nothing from the package."""
+"""The package imports nothing outside the standard library, the CLI's
+start-up imports none of the heavy modules it has no use for, and the
+test oracles import nothing from the package."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,18 @@ def test_package_imports_only_the_standard_library():
             foreign += [(path.name, name) for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_cli_start_up_skips_heavy_modules():
+    # -S keeps site's own imports from masking what the package loads;
+    # traceback belongs to the exit-3 path alone
+    heavy = ["dataclasses", "inspect", "typing", "traceback"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import overpart.cli; "
+            "overpart.cli.build_parser(); "
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent), *heavy],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
 
 
 def test_oracles_import_nothing_from_the_package():
