@@ -13,9 +13,10 @@ pbar mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
 stderr, and only this path imports traceback).  JSON output is one
 document; CSV is unquoted.  Reports do not know which construction built
 their series; verify stamps --source on every row.  scan checks its
-arguments before it builds the series, builds it in the ring of its
-largest modulus, and writes its JSON from one %-format template per hit,
-byte for byte json.dumps(indent=2) of the hits' as_json_dict() list.
+arguments before it builds the series and builds it in the ring of its
+largest modulus.  verify and scan write JSON from %-format templates, one
+per report or hit, byte for byte json.dumps(indent=2) of the list of their
+as_json_dict(), each report's with its source.
 """
 
 from __future__ import annotations
@@ -146,6 +147,25 @@ def _report_rows(reports, source):
     return rows
 
 
+# one report's as_json_dict() and source as json.dumps(indent=2) writes it in a list
+_REPORT_JSON = '  {\n    "claim": %s,\n    "status": %s,\n    "range": %d%s,\n    "source": %s\n  }'
+_CLAIM_JSON = '{\n      "A": %d,\n      "B": %d,\n      "M": %d\n    }'
+_WITNESS_JSON = ',\n    "witness": {\n      "n": %d,\n      "value": %d\n    }'
+
+
+def _reports_json(reports, source: str) -> str:
+    """The reports' JSON, every string escaped by json.dumps."""
+    source = json.dumps(source)
+    items = []
+    for r in reports:
+        c = r.subject
+        claim = _CLAIM_JSON % c if isinstance(c, congruence.CongruenceClaim) else json.dumps(c)
+        witness = "" if r.witness is None else _WITNESS_JSON % r.witness
+        items.append(_REPORT_JSON % (claim, json.dumps(r.status), r.range_checked,
+                                     witness, source))
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+
+
 def cmd_verify(args) -> tuple[str, int]:
     checks = congruence.suite_checks(args.suite)
     order, ring = congruence.series_order(checks, args.limit)
@@ -157,8 +177,7 @@ def cmd_verify(args) -> tuple[str, int]:
     reports.sort(key=_sort_key)
     code = 0 if all(r.ok for r in reports) else 1
     if args.format == "json":
-        doc = [dict(r.as_json_dict(), source=args.source) for r in reports]
-        return json.dumps(doc, indent=2) + "\n", code
+        return _reports_json(reports, args.source), code
     header = ["subject", "status", "range", "witness_n", "witness_value", "source"]
     return _emit_rows(args.format, header, _report_rows(reports, args.source)), code
 

@@ -26,14 +26,16 @@ witness, with none the check is Verified, and with no pairs at all (a
 window that holds no point of the check) it is Skipped.  One checked
 point is enough for Verified; the report counts the pairs it walked.
 The dissection walks its coefficient mismatches before its vanishing
-columns 7, 14, 15.  A check hands _verdict its points and their values
-as sequences, and the residues and the first nonzero one are found by C
-loops (map, bytes.lstrip); kim8 and the pbar(4n) tiers pick their points
-by a byte mask and itertools.compress.
+columns 7, 14, 15.  A check hands _verdict its points as an iterator
+and their values; for a modulus up to 256 the residues are one bytes,
+the first nonzero one is found by lstrip, and the points are read only
+for a witness.  kim8 and the pbar(4n) tiers pick their points by a byte
+mask and itertools.compress.
 
 The scanner does not walk residues.  It reads the window once as a string
 of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
-asked for, and a progression An + B clears every M up to 2^v, where v is
+asked for: the residues mod 2^j as one bytes, put through one translate
+table.  A progression An + B clears every M up to 2^v, where v is
 the least valuation on its slice, found by asking the slice for 0, 1, 2,
 ... in turn (each a memchr).  Its evidence threshold is min_checks.
 scan_plan checks a scan's arguments before any series is built and names
@@ -46,7 +48,7 @@ hashes and compares as (A, B, M), and _make and _replace check it.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from math import isqrt
 from operator import add, sub
 
@@ -142,18 +144,20 @@ def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
 
 
 def _verdict(subject, limit, ns, values, modulus) -> VerificationReport:
-    """The verdict on the points ns, whose values run in step with them:
-    Counterexample at the first value nonzero mod modulus, with
-    (n, residue) as witness, else Verified; Skipped if ns is empty.
-    Counts the points it walks.  A power-of-two modulus reduces by one &
-    per value, and the first nonzero residue is found in C."""
-    res = list(map((modulus - 1).__and__, values))
-    rest = bytes(map(bool, res)).lstrip(b"\0")
+    """The verdict on the points of the iterable ns, whose values run in
+    step with them: Counterexample at the first value nonzero mod modulus,
+    with (n, residue) as witness, else Verified; Skipped if ns is empty.
+    Counts the points it walks.  Past modulus 256 the residues are a list,
+    searched through the bytes of their truth values."""
+    res = map((modulus - 1).__and__, values)
+    res = bytes(res) if modulus <= 256 else list(res)
+    rest = (res if modulus <= 256 else bytes(map(bool, res))).lstrip(b"\0")
     if not rest:
         return VerificationReport(subject, VERIFIED if res else SKIPPED, limit,
                                   None, len(res))
     k = len(res) - len(rest)
-    return VerificationReport(subject, COUNTEREXAMPLE, limit, (ns[k], res[k]), k + 1)
+    return VerificationReport(subject, COUNTEREXAMPLE, limit,
+                              (next(islice(ns, k, None)), res[k]), k + 1)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
@@ -216,7 +220,7 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries,
         keep[k * k] = 0
     for k in range(isqrt(limit // 2) + 1):
         keep[2 * k * k] = 0
-    return _verdict("mod8-nonsquare", limit, list(compress(range(limit + 1), keep)),
+    return _verdict("mod8-nonsquare", limit, compress(range(limit + 1), keep),
                     compress(pbar.coeffs, keep), 8)
 
 
@@ -263,7 +267,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     if skip_odd_squares:
         for k in range(1, isqrt(limit) + 1, 2):
             keep[k * k] = 0
-    return _verdict(subject, limit, list(compress(range(limit + 1), keep)),
+    return _verdict(subject, limit, compress(range(limit + 1), keep),
                     compress(values, keep), modulus)
 
 
@@ -332,7 +336,7 @@ def verify_dissection_mod16(pbar: TruncatedSeries,
     limit = _window(pbar, limit, 16)
     rhs = dissection_rhs_mod16(limit).coeffs
     columns = (7, 14, 15)
-    ns = [*range(limit + 1), *chain.from_iterable(range(j, limit + 1, 16) for j in columns)]
+    ns = chain(range(limit + 1), *(range(j, limit + 1, 16) for j in columns))
     # map stops at the end of rhs, q^limit
     values = chain(map(sub, rhs, pbar.coeffs), *(rhs[j::16] for j in columns))
     return _verdict("dissection-mod16", limit, ns, values, 16)
@@ -483,6 +487,13 @@ def scan_plan(amax: int, mods, limit: int,
     return mods, mod2_ring(mods[-1].bit_length() - 1)
 
 
+def _valuations(coeffs, j: int) -> bytes:
+    """min(v2(c), j) per c, 1 <= j <= 8: the residues mod 2^j as one bytes,
+    translated by a table of their valuations, with v2(0) counted as j."""
+    table = bytes(min((r & -r).bit_length() - 1, j) if r else j for r in range(256))
+    return bytes(map(((1 << j) - 1).__and__, coeffs)).translate(table)
+
+
 def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
                      limit: int | None = None,
                      min_checks: int = 50) -> list[ScanHit]:
@@ -511,9 +522,7 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     j = top.bit_length() - 1
     limit = _window(pbar, limit, top)
     known = known_claims()
-    # val[n] = min(v2(pbar(n)), j) for top = 2^j: c | top has lowest set
-    # bit 2^min(v2(c), j), and v2(0) counts as j
-    val = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in pbar.coeffs[:limit + 1])
+    val = _valuations(pbar.coeffs[:limit + 1], j)
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
     clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
     hits = []

@@ -5,14 +5,18 @@ Reading past the truncation order is a hard error, never a silent zero:
 every coefficient an operation reports is one it actually knows.
 
 Binary operations require the two operands to share a ring and truncate
-the result to the shorter operand's order.  _convolve is the one
-multiply: Kronecker substitution, with signed slots in Z and unsigned
-slots in Z/2**m.  _pack and _unpack lay coefficients into slots and
-read them back; in Z/2**m, at every width, by one struct call over a
-contiguous run of the values and one slice assignment per value byte
-(_reslot) between that run and the slots.  _unpack reads every packed
-integer in the package back into coefficients: these products, the
-division's blocks, the 2-adic source and the c_k(n) rows.
+the result to the shorter operand's order.  A product is one multiply of
+packed integers (Kronecker substitution).  In Z, _convolve packs signed
+slots wide enough for the product and unpacks it.  In Z/2**m a series
+has two forms, a coefficient tuple and one packed integer, each made
+from the other on first need and kept; its _width(order, m)-byte slots
+hold (2**m - 1)**2 * (order + 1), so a product, sum, difference or int
+multiple is one bigint op and one & with a repeated 2**m - 1.  Such a
+result holds only its packed form, and a chain of them is unpacked once,
+when its coefficients are read.  _pack and _unpack lay coefficients into
+slots and read them back; in Z/2**m, at every width, by one struct call
+over a contiguous run of the values and one slice assignment per value
+byte (_reslot) between that run and the slots.
 
 Division a / d, with inversion as 1 / d, has one recurrence, _recur,
 which groups the terms of d by value: one add per term plus one multiply
@@ -24,8 +28,8 @@ terms of d are summed over the finished blocks as shifts of packed
 pairs of blocks.  All series are immutable.
 
 The public constructor reduces its coefficients into the ring.  Results
-whose values are already in it (products, quotients, reindexings) are
-stored by TruncatedSeries._reduced, which does not mask them again.
+whose values are already in it (quotients, reindexings) are stored by
+TruncatedSeries._reduced, which does not mask them again.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from operator import rshift
+from operator import add, rshift, sub
 
 
 class CoeffRing(namedtuple("CoeffRing", "bits")):
@@ -167,41 +171,31 @@ def _pack(vals: Sequence[int], sb: int, bits: int | None = None) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _convolve(a: Sequence[int], b: Sequence[int], outlen: int,
-              bits: int | None = None) -> Sequence[int]:
-    """First outlen coefficients of the product, by Kronecker substitution.
-
-    Both operands are packed into big integers with a fixed slot width
-    chosen so no convolution sum can reach a neighboring slot; one native
-    multiply then performs the whole convolution exactly.
-
-    In Z (bits None) slots are signed, so the product is re-biased by half
-    a slot before unpacking.  In Z/2**bits the coefficients lie in
-    [0, 2**bits): the slots are unsigned, one & with a repeated
-    2**bits - 1 reduces every slot of the product, and the result comes
-    back reduced.
-    """
+def _convolve(a: Sequence[int], b: Sequence[int], outlen: int) -> list[int]:
+    """First outlen coefficients of the product in Z: both operands are
+    packed in signed slots that no convolution sum can overflow, one
+    native multiply performs the whole convolution, and the product is
+    re-biased by half a slot before unpacking."""
     a = a[:outlen]
     b = b[:outlen]
-    amax = max(a) if bits else max(map(abs, a))
-    bmax = max(b) if bits else max(map(abs, b))
+    amax = max(map(abs, a))
+    bmax = max(map(abs, b))
     if amax == 0 or bmax == 0:
         return [0] * outlen
-    top = amax * bmax * min(len(a), len(b))
-    if bits:
-        mask = (1 << bits) - 1
-        # a slot holds the largest sum and the mask that the & repeats
-        sb = (max(top, mask).bit_length() + 7) // 8
-        low = _pack(a, sb, bits) * _pack(b, sb, bits) & _repeat(mask, sb, outlen)
-        return _unpack(low.to_bytes(outlen * sb, "little"), sb, bits)
-    # |sum| <= top, two spare bits keep it under half a slot
-    sb = (top.bit_length() + 2 + 7) // 8
+    # |sum| <= amax * bmax * len, two spare bits keep it under half a slot
+    sb = ((amax * bmax * min(len(a), len(b))).bit_length() + 2 + 7) // 8
     slot_bits = sb * 8
     prod = _pack(a, sb) * _pack(b, sb)
     half = 1 << (slot_bits - 1)
     bias = _repeat(half, sb, outlen)
     low = (prod + bias) & ((1 << (outlen * slot_bits)) - 1)
     return [v - half for v in _unpack(low.to_bytes(outlen * sb, "little"), sb)]
+
+
+def _width(order: int, bits: int) -> int:
+    """Slot bytes of a packed series to q^order in Z/2**bits: they hold
+    (2**bits - 1)**2 * (order + 1), the largest slot of a product."""
+    return ((((1 << bits) - 1) ** 2 * (order + 1)).bit_length() + 7) // 8
 
 
 def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
@@ -233,7 +227,7 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
 class TruncatedSeries:
     """Power series known exactly up to q^order."""
 
-    __slots__ = ("ring", "_coeffs")
+    __slots__ = ("ring", "order", "_coeffs", "_word")
 
     def __init__(self, ring: CoeffRing, coeffs: Iterable[int]):
         # the one place coefficients from outside are reduced into the ring;
@@ -242,8 +236,12 @@ class TruncatedSeries:
         coeffs = tuple(coeffs) if m is None else tuple(map(m.__and__, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_coeffs", coeffs)
+        self._set(ring, len(coeffs) - 1, coeffs, None)
+
+    def _set(self, *values) -> "TruncatedSeries":
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
@@ -253,9 +251,8 @@ class TruncatedSeries:
     @classmethod
     def _reduced(cls, ring: CoeffRing, coeffs: Iterable[int]) -> "TruncatedSeries":
         """A series of coefficients already in ring, stored without masking."""
-        series = cls(EXACT, coeffs)  # EXACT stores them as they are
-        object.__setattr__(series, "ring", ring)
-        return series
+        coeffs = tuple(coeffs)
+        return object.__new__(cls)._set(ring, len(coeffs) - 1, coeffs, None)
 
     @classmethod
     def zero(cls, ring: CoeffRing, order: int) -> "TruncatedSeries":
@@ -274,34 +271,51 @@ class TruncatedSeries:
         c[exponent] = coeff
         return cls(ring, c)
 
-    # -- inspection ----------------------------------------------------
-
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
+    # -- the two forms -------------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            sb = _width(self.order, self.ring.bits)
+            data = self._word.to_bytes((self.order + 1) * sb, "little")
+            object.__setattr__(self, "_coeffs", _unpack(data, sb, self.ring.bits))
         return self._coeffs
+
+    def _packed(self, order: int) -> int:
+        """This Z/2**m series to q^order <= self.order in _width(order, m)-byte slots."""
+        bits = self.ring.bits
+        sb = _width(order, bits)
+        if order < self.order:  # cut short: repacked at the shorter order's width
+            return _pack(self.coeffs[:order + 1], sb, bits)
+        if self._word is None:
+            object.__setattr__(self, "_word", _pack(self._coeffs, sb, bits))
+        return self._word
+
+    def _ringed(self, order: int, word: int) -> "TruncatedSeries":
+        """The series to q^order whose slots are those of word mod 2**m."""
+        masks = _repeat(self.ring.mask, _width(order, self.ring.bits), order + 1)
+        return object.__new__(TruncatedSeries)._set(self.ring, order, None, word & masks)
+
+    # -- inspection ----------------------------------------------------
 
     def __getitem__(self, n: int) -> int:
         """Coefficient of q^n.  n past the truncation order is an error."""
         if not 0 <= n <= self.order:
             raise IndexError(
                 f"coefficient of q^{n} requested, series only known to q^{self.order}")
-        return self._coeffs[n]
+        return self.coeffs[n]
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.ring == other.ring and self._coeffs == other._coeffs
+        return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.ring, self._coeffs))
+        return hash((self.ring, self.coeffs))
 
     def __repr__(self):
         terms = []
-        for n, c in enumerate(self._coeffs):
+        for n, c in enumerate(self.coeffs):
             if c:
                 terms.append(f"{c}" if n == 0 else f"{c}*q^{n}")
             if len(terms) == 6:
@@ -311,7 +325,7 @@ class TruncatedSeries:
         return f"<series {body} (order {self.order}, {self.ring})>"
 
     def is_zero(self) -> bool:
-        return not any(self._coeffs)
+        return not self._word if self._word is not None else not any(self._coeffs)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -325,28 +339,38 @@ class TruncatedSeries:
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._common(other)
-        return TruncatedSeries(
-            self.ring, [x + y for x, y in zip(self._coeffs, other._coeffs)])
+        n = self._common(other)
+        if self.ring.bits is None:
+            return TruncatedSeries._reduced(self.ring, map(add, self.coeffs, other.coeffs))
+        return self._ringed(n, self._packed(n) + other._packed(n))
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        self._common(other)
-        return TruncatedSeries(
-            self.ring, [x - y for x, y in zip(self._coeffs, other._coeffs)])
+        n = self._common(other)
+        if self.ring.bits is None:
+            return TruncatedSeries._reduced(self.ring, map(sub, self.coeffs, other.coeffs))
+        # 2**m in every slot keeps each one non-negative
+        lift = _repeat(1 << self.ring.bits, _width(n, self.ring.bits), n + 1)
+        return self._ringed(n, self._packed(n) + lift - other._packed(n))
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, [-x for x in self._coeffs])
+        return self * -1  # in Z/2**m, times 2**m - 1: no slot goes negative
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return TruncatedSeries(self.ring, [other * x for x in self._coeffs])
+            if self.ring.bits is None:
+                return TruncatedSeries._reduced(self.ring, map(other.__mul__, self.coeffs))
+            # reduced first, so -2 and 2**m - 2 agree and no slot passes (2**m - 1)**2
+            return self._ringed(self.order, self._packed(self.order) * (other & self.ring.mask))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        outlen = self._common(other) + 1
-        prod = _convolve(self._coeffs, other._coeffs, outlen, self.ring.bits)
-        return TruncatedSeries._reduced(self.ring, prod)
+        n = self._common(other)
+        if self.ring.bits is None:
+            return TruncatedSeries._reduced(
+                self.ring, _convolve(self.coeffs, other.coeffs, n + 1))
+        # the & keeps the n + 1 low slots of the product, reduced
+        return self._ringed(n, self._packed(n) * other._packed(n))
 
     __rmul__ = __mul__
 
@@ -409,13 +433,13 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         order = self._common(other)
-        d = other._coeffs
+        d = other.coeffs
         inv0 = self.ring.invert_unit(d[0])
         n = order + 1
         mask = self.ring.mask
         if mask is None:
             return TruncatedSeries._reduced(
-                self.ring, _recur(self._coeffs, d, n, inv0, -1))
+                self.ring, _recur(self.coeffs, d, n, inv0, -1))
         bits = self.ring.bits
         block = min(_block(order, bits), n)
         lags = list(compress(range(1, n), d[1:n]))  # the exponents of the terms
@@ -435,7 +459,7 @@ class TruncatedSeries:
         masks, maskp = _repeat(mask, wb, block), _repeat(mask, wp, block)
         pairs = [0]  # blocks -1 and 0, until block 0 is finished
         terms = {}  # u -> ([pair from the end], [shift]) of the terms with -d(i) = u
-        a = self._coeffs
+        a = self.coeffs
         for b in range(0, n, block):
             for i in lags[bisect_left(lags, b):bisect_left(lags, b + block)]:
                 ks, shs = terms.setdefault(signed[d[i]], ([], []))
@@ -470,15 +494,14 @@ class TruncatedSeries:
         if k > self.order:
             return TruncatedSeries.zero(self.ring, self.order)
         return TruncatedSeries._reduced(
-            self.ring, (0,) * k + self._coeffs[:len(self._coeffs) - k])
+            self.ring, (0,) * k + self.coeffs[:len(self.coeffs) - k])
 
     def substitute_power(self, t: int) -> "TruncatedSeries":
         """q -> q^t.  Result keeps this order, reading source up to order//t."""
         if t < 1:
             raise ValueError(f"substitution power must be >= 1, got {t}")
-        out = [0] * len(self._coeffs)
-        for i in range(self.order // t + 1):
-            out[i * t] = self._coeffs[i]
+        out = [0] * (self.order + 1)
+        out[::t] = self.coeffs[:self.order // t + 1]
         return TruncatedSeries._reduced(self.ring, out)
 
     def dissect(self, t: int, r: int) -> "TruncatedSeries":
@@ -493,7 +516,7 @@ class TruncatedSeries:
         if r > self.order:
             raise ValueError(
                 f"dissection residue {r} past truncation order {self.order}")
-        return TruncatedSeries._reduced(self.ring, self._coeffs[r::t])
+        return TruncatedSeries._reduced(self.ring, self.coeffs[r::t])
 
     def reduce_mod(self, j: int) -> "TruncatedSeries":
         """Reduce every coefficient into [0, 2**j); ring becomes Z/2**j.
@@ -505,4 +528,4 @@ class TruncatedSeries:
         if self.ring.bits is not None and j > self.ring.bits:
             raise ValueError(
                 f"cannot widen {self.ring} to {ring}; bits above {self.ring.bits} are unknown")
-        return TruncatedSeries(ring, self._coeffs)
+        return TruncatedSeries(ring, self.coeffs)

@@ -304,6 +304,37 @@ def test_verify_counterexample_exits_one(capsys):
     assert doc[0]["witness"] == {"n": 0, "value": 16}
 
 
+def test_verify_counterexample_past_256_exits_one(capsys):
+    # M = 2^64, past a byte: the verdict reads its residues as a list;
+    # pbar(7) = 64 fails the claim at n = 0
+    code, out, _ = run_cli(capsys, "verify", "claim:8,7,18446744073709551616",
+                           "--limit", "200")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc == [{"claim": {"A": 8, "B": 7, "M": 2**64}, "status": "Counterexample",
+                    "range": 200, "witness": {"n": 0, "value": 64}, "source": "invert"}]
+
+
+def test_verify_json_is_the_reports_json_dumps():
+    # a claim and string subjects, a witness, a Skipped report, a value
+    # past 64 bits and strings json.dumps must escape
+    reports = [
+        congruence.VerificationReport(congruence.CongruenceClaim(16, 14, 16),
+                                      congruence.VERIFIED, 10000, None, 625),
+        congruence.VerificationReport("mod8-nonsquare", congruence.COUNTEREXAMPLE,
+                                      40, (3, 5), 1),
+        congruence.VerificationReport("4n-vs-n-mod4", congruence.SKIPPED, 0, None, 0),
+        congruence.VerificationReport(congruence.CongruenceClaim(8, 7, 2**64),
+                                      congruence.COUNTEREXAMPLE, 2**70, (0, 2**65), 1),
+        congruence.VerificationReport('a "quoted"\\id\u00e9\n', congruence.VERIFIED,
+                                      7, None, 2),
+    ]
+    for source in ("invert", "2adic:31", 'odd"source\u00e9'):
+        doc = [dict(r.as_json_dict(), source=source) for r in reports]
+        assert cli._reports_json(reports, source) == json.dumps(doc, indent=2) + "\n"
+    assert cli._reports_json([], "invert") == json.dumps([], indent=2) + "\n"
+
+
 def test_verify_claim_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "claim:16,14,16", "--limit", "10000")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import random
 import re
 from pathlib import Path
 
@@ -188,6 +189,32 @@ def test_report_counts_the_points_it_checked(pbar_mod32_20k):
     assert rep.status == SKIPPED and rep.checks == 0
     # the count is not part of the JSON report
     assert "checks" not in rep.as_json_dict()
+
+
+@pytest.mark.parametrize("modulus", [2, 16, 256, 512, 2**64])
+def test_verdict_reads_its_points_as_an_iterator(modulus):
+    # the points arrive as a one-pass iterator and are read only for the
+    # witness; up to 256 the residues are one bytes, past it a list, so a
+    # residue of 256 or 2^63 still comes back whole
+    big = modulus // 2
+    for values, want in [([0, 0, 0], None), ([big, 0, 0], (10, big)),
+                         ([0, modulus, 3 * modulus + big], (12, big)),
+                         ([modulus + 1, 0], (10, 1))]:
+        ns = iter(range(10, 10 + len(values)))
+        rep = congruence._verdict("s", 99, ns, iter(values), modulus)
+        assert rep.witness == want
+        assert rep.status == (VERIFIED if want is None else COUNTEREXAMPLE)
+        assert rep.checks == (len(values) if want is None else want[0] - 9)
+    rep = congruence._verdict("s", 99, iter(()), iter(()), modulus)
+    assert rep.status == SKIPPED and rep.checks == 0
+
+
+def test_claim_past_256_reads_its_residues_as_a_list():
+    # M = 2^64 takes the list path; pbar(7) = 64 is the first value
+    pbar = by_inversion(200, mod2_ring(64))
+    rep = verify_progression(pbar, CongruenceClaim(8, 7, 2**64), 200)
+    assert rep.status == COUNTEREXAMPLE
+    assert rep.witness == (0, 64) and rep.checks == 1
 
 
 # -- theorem families ---------------------------------------------------------
@@ -701,6 +728,21 @@ def test_scan_min_checks_suppression(pbar_mod32_20k):
     assert scan_congruences(pbar_mod32_20k, 8, (8,), 3000, min_checks=3001) == []
     thin = scan_congruences(pbar_mod32_20k, 8, (8,), 100, min_checks=13)
     assert all(h.checks >= 13 for h in thin)
+
+
+@pytest.mark.parametrize("bits", [*range(1, 9), 32])
+def test_valuation_string_is_the_lowest_set_bit_capped(bits):
+    # min(v2(c), j) for top = 2^j, as c | top's lowest set bit, for values
+    # in Z/2^bits: 0, top, multiples of top and every residue below 256
+    rng = random.Random(bits)
+    mask = (1 << bits) - 1
+    for j in range(1, min(bits, 8) + 1):
+        top = 1 << j
+        values = [0, top, 3 * top, top << 5, mask, *range(256),
+                  *(rng.getrandbits(bits) for _ in range(200))]
+        values = [v & mask for v in values]
+        old = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in values)
+        assert congruence._valuations(values, j) == old, j
 
 
 def test_scan_json_shape(pbar_mod32_20k):

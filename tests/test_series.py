@@ -6,10 +6,12 @@ inputs, exact and modular.
 """
 
 import random
+from operator import add, sub
 
 import pytest
 
-from overpart import EXACT, CoeffRing, TruncatedSeries, mod2_ring, overpartitions, series, theta
+from overpart import (EXACT, CoeffRing, TruncatedSeries, congruence, mod2_ring,
+                      overpartitions, series, theta)
 
 from oracles import schoolbook_invert, schoolbook_mul
 
@@ -627,3 +629,113 @@ def test_modular_ops_match_exact_reduction():
         ]
         for exact_result, mod_result in pairs:
             assert exact_result.reduce_mod(bits) == mod_result
+
+
+# -- the packed form in Z/2^m ----------------------------------------------
+
+PACKED_BITS = [1, 4, 7, 8, 9, 16, 32, 64]
+
+
+def reduced(ring, vals):
+    return [v & ring.mask for v in vals]
+
+
+def packed_born(s):
+    # a series that holds only its packed form, as every Z/2^m result does
+    p = s * 1
+    assert p._coeffs is None and p._word is not None
+    return p
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 255, 600])
+@pytest.mark.parametrize("bits", PACKED_BITS)
+def test_packed_chains_match_the_schoolbook(bits, order):
+    # products of products, sums, differences, negations and int scalars,
+    # every intermediate result packed-born, against lists reduced
+    # coefficientwise; the operands run over [-2^m, 2^(m+1)) before the
+    # constructor reduces them
+    ring = mod2_ring(bits)
+    top = 1 << bits
+    n = order + 1
+    rng = random.Random(1000 * bits + order)
+    a, b, c = (rand_series(rng, ring, order, lo=-top, hi=2 * top - 1) for _ in range(3))
+    ca, cb, cc = (list(s.coeffs) for s in (a, b, c))
+    ab = a * b
+    want_ab = schoolbook_mul(ca, cb, n, ring.mask)
+    assert list(ab.coeffs) == want_ab
+    chain = (ab + c) * (ab - a)
+    left = reduced(ring, map(add, want_ab, cc))
+    right = reduced(ring, map(sub, want_ab, ca))
+    want = schoolbook_mul(left, right, n, ring.mask)
+    assert chain._coeffs is None
+    assert list(chain.coeffs) == want
+    assert list((-chain).coeffs) == reduced(ring, (-v for v in want))
+    for s in (-2, 14, top, top + 3):
+        assert list((s * chain).coeffs) == reduced(ring, (s * v for v in want)), s
+        assert list((chain * s).coeffs) == reduced(ring, (s * v for v in want)), s
+        got = chain * s - (-a) * s - s * chain
+        assert list(got.coeffs) == reduced(ring, (s * x for x in ca)), s
+    # -2 and 2^m - 2 are the same scalar in Z/2^m
+    assert -2 * chain == (top - 2) * chain
+
+
+@pytest.mark.parametrize("bits", PACKED_BITS)
+def test_packed_operands_of_mixed_orders(bits):
+    # the result has the shorter order; a longer operand is cut to it
+    # within its own packed slots when the slot width agrees, and repacked
+    # at the shorter order's width when it does not
+    ring = mod2_ring(bits)
+    rng = random.Random(bits)
+    for short, long in [(0, 3), (1, 2), (2, 255), (255, 600), (300, 301), (40, 600)]:
+        a = rand_series(rng, ring, long, lo=0, hi=ring.mask)
+        b = rand_series(rng, ring, short, lo=0, hi=ring.mask)
+        ca, cb = list(a.coeffs[:short + 1]), list(b.coeffs)
+        want = schoolbook_mul(ca, cb, short + 1, ring.mask)
+        for x in (a, packed_born(a)):
+            for y in (b, packed_born(b)):
+                assert list((x * y).coeffs) == want, (short, long)
+                assert list((y * x).coeffs) == want, (short, long)
+                assert list((x + y).coeffs) == reduced(ring, map(add, ca, cb))
+                assert list((x - y).coeffs) == reduced(ring, map(sub, ca, cb))
+                assert list((y - x).coeffs) == reduced(ring, map(sub, cb, ca))
+                assert (x * y).order == (x - y).order == short
+
+
+@pytest.mark.parametrize("bits", PACKED_BITS)
+def test_packed_born_equals_and_hashes_like_tuple_born(bits):
+    ring = mod2_ring(bits)
+    rng = random.Random(7 * bits)
+    for order in (0, 1, 30):
+        a = rand_series(rng, ring, order, lo=0, hi=ring.mask)
+        p = packed_born(a)
+        t = TruncatedSeries(ring, a.coeffs)
+        assert p == t and t == p and hash(p) == hash(t)
+        assert p == packed_born(t)
+        assert p != packed_born(a + TruncatedSeries.one(ring, order))
+        assert p != packed_born(TruncatedSeries(ring, a.coeffs + (0,)))
+        assert p != TruncatedSeries(mod2_ring(65 - bits) if bits != 1 else M32, a.coeffs)
+        assert p.order == order and p[order] == a.coeffs[order]
+        assert p.is_zero() == a.is_zero()
+    z = packed_born(TruncatedSeries.zero(ring, 9))
+    assert z.is_zero() and z == TruncatedSeries.zero(ring, 9)
+
+
+def test_packed_series_is_immutable():
+    p = packed_born(TruncatedSeries(mod2_ring(4), [1, 2, 3]))
+    for name in ("ring", "order", "coeffs", "_coeffs", "_word"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+    assert p.coeffs == (1, 2, 3)
+    with pytest.raises(AttributeError):
+        p.coeffs = (0, 0, 0)
+    assert p == TruncatedSeries(mod2_ring(4), [1, 2, 3])
+
+
+def test_dissection_unpacks_each_slot_once(monkeypatch):
+    # its 13 slot series and the quotient of D.invert(); every product in
+    # between stays packed
+    calls = []
+    unpack = series._unpack
+    monkeypatch.setattr(series, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+    congruence.dissection_rhs_mod16(1500)
+    assert 0 < len(calls) <= 14
