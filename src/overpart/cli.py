@@ -14,9 +14,14 @@ stderr, and only this path imports traceback).  JSON output is one
 document; CSV is unquoted.  Reports do not know which construction built
 their series; verify stamps --source on every row.  scan checks its
 arguments before it builds the series and builds it in the ring of its
-largest modulus.  verify and scan write JSON from %-format templates, one
-per report or hit, byte for byte json.dumps(indent=2) of the list of their
-as_json_dict(), each report's with its source.
+largest modulus.
+
+The CLI alone knows how a report or a scan hit looks as JSON.  verify and
+scan write it from %-format templates that share one claim template, byte
+for byte what json.dumps(indent=2) writes for the list of one object per
+report, {claim, status, range, [witness,] source}, or per hit, {claim,
+checks, label}.  A claim is {A, B, M}, an identity's claim its id.  A
+report's checks count stays out.
 """
 
 from __future__ import annotations
@@ -130,27 +135,29 @@ def cmd_dissect(args) -> tuple[str, int]:
 
 
 def _sort_key(report):
-    c = report.subject
-    if isinstance(c, congruence.CongruenceClaim):
-        return (0, c.A, c.B, c.M, "")
-    return (1, 0, 0, 0, c)
+    """Claims first, in (A, B, M) order, then identities by id."""
+    return isinstance(report.subject, str), report.subject
 
 
 def _report_rows(reports, source):
     rows = []
     for rep in reports:
         c = rep.subject
-        subject = f"{c.A}n+{c.B}_mod_{c.M}" if isinstance(
-            c, congruence.CongruenceClaim) else c
+        subject = c if isinstance(c, str) else f"{c.A}n+{c.B}_mod_{c.M}"
         wn, wv = ("", "") if rep.witness is None else rep.witness
         rows.append([subject, rep.status, rep.range_checked, wn, wv, source])
     return rows
 
 
-# one report's as_json_dict() and source as json.dumps(indent=2) writes it in a list
-_REPORT_JSON = '  {\n    "claim": %s,\n    "status": %s,\n    "range": %d%s,\n    "source": %s\n  }'
+# one report or hit as json.dumps(indent=2) writes it inside a list
 _CLAIM_JSON = '{\n      "A": %d,\n      "B": %d,\n      "M": %d\n    }'
+_REPORT_JSON = '  {\n    "claim": %s,\n    "status": %s,\n    "range": %d%s,\n    "source": %s\n  }'
 _WITNESS_JSON = ',\n    "witness": {\n      "n": %d,\n      "value": %d\n    }'
+_HIT_JSON = '  {\n    "claim": %s,\n    "checks": %d,\n    "label": "%s"\n  }'
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
 
 
 def _reports_json(reports, source: str) -> str:
@@ -159,11 +166,11 @@ def _reports_json(reports, source: str) -> str:
     items = []
     for r in reports:
         c = r.subject
-        claim = _CLAIM_JSON % c if isinstance(c, congruence.CongruenceClaim) else json.dumps(c)
+        claim = json.dumps(c) if isinstance(c, str) else _CLAIM_JSON % c
         witness = "" if r.witness is None else _WITNESS_JSON % r.witness
         items.append(_REPORT_JSON % (claim, json.dumps(r.status), r.range_checked,
                                      witness, source))
-    return "[\n" + ",\n".join(items) + "\n]\n" if items else "[]\n"
+    return _json_list(items)
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -182,11 +189,6 @@ def cmd_verify(args) -> tuple[str, int]:
     return _emit_rows(args.format, header, _report_rows(reports, args.source)), code
 
 
-# one ScanHit.as_json_dict() as json.dumps(indent=2) writes it inside a list
-_HIT_JSON = ('  {\n    "claim": {\n      "A": %d,\n      "B": %d,\n      "M": %d\n'
-             '    },\n    "checks": %d,\n    "label": "%s"\n  }')
-
-
 def cmd_scan(args) -> tuple[str, int]:
     try:
         mods = [int(m) for m in args.mods.split(",") if m.strip()]
@@ -197,11 +199,8 @@ def cmd_scan(args) -> tuple[str, int]:
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
     if args.format == "json":
-        if not hits:
-            return "[]\n", 0
-        body = ",\n".join([_HIT_JSON % (h.claim.A, h.claim.B, h.claim.M, h.checks,
-                                         h.label) for h in hits])
-        return "[\n" + body + "\n]\n", 0
+        return _json_list([_HIT_JSON % (_CLAIM_JSON % h.claim, h.checks, h.label)
+                           for h in hits]), 0
     header = ["A", "B", "M", "checks", "label"]
     rows = [[h.claim.A, h.claim.B, h.claim.M, h.checks, h.label] for h in hits]
     return _emit_rows(args.format, header, rows), 0

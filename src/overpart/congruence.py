@@ -42,7 +42,8 @@ scan_plan checks a scan's arguments before any series is built and names
 the ring it reads, Z/2^j.
 
 Claims, reports and scan hits are immutable named tuples: a claim orders,
-hashes and compares as (A, B, M), and _make and _replace check it.
+hashes and compares as (A, B, M), and _make and _replace check it.  They
+know no output format; the CLI alone writes them as JSON, CSV or a table.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ class VerificationReport(namedtuple(
     subject is a CongruenceClaim or a string identity id; range_checked is
     the window bound the check ran against; witness is (n, residue) for
     the first failure, None otherwise; checks is the number of (n, residue)
-    pairs walked, the witness included.  checks stays out of the JSON
-    report.
+    pairs walked, the witness included.  The CLI writes reports out and
+    leaves checks out of them.
     """
 
     __slots__ = ()
@@ -96,16 +97,6 @@ class VerificationReport(namedtuple(
     @property
     def ok(self) -> bool:
         return self.status != COUNTEREXAMPLE
-
-    def as_json_dict(self) -> dict:
-        if isinstance(self.subject, CongruenceClaim):
-            claim = {"A": self.subject.A, "B": self.subject.B, "M": self.subject.M}
-        else:
-            claim = self.subject
-        out = {"claim": claim, "status": self.status, "range": self.range_checked}
-        if self.witness is not None:
-            out["witness"] = {"n": self.witness[0], "value": self.witness[1]}
-        return out
 
 
 class ScanHit(namedtuple("ScanHit", "claim checks known")):
@@ -116,13 +107,6 @@ class ScanHit(namedtuple("ScanHit", "claim checks known")):
     @property
     def label(self) -> str:
         return "KNOWN" if self.known else "CANDIDATE"
-
-    def as_json_dict(self) -> dict:
-        return {
-            "claim": {"A": self.claim.A, "B": self.claim.B, "M": self.claim.M},
-            "checks": self.checks,
-            "label": self.label,
-        }
 
 
 def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,

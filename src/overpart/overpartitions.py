@@ -87,12 +87,7 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     lift = ones * (len(minus) << (m + 1)) + one
     t = one
     for _ in range(depth):
-        u = lift
-        for sh in plus:
-            u += t >> sh
-        for sh in minus:
-            u -= t >> sh
-        t = u & mask
+        t = lift + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
     c = _unpack(t.to_bytes((order + 1) * sb, "little"), sb, m)[::-1]
     return TruncatedSeries._reduced(mod2_ring(m), c)
 

@@ -425,7 +425,8 @@ class TruncatedSeries:
 
         A wb-byte slot holds at most 2**m - 1 + K + (2**m - 1) * (the sum
         of u > 0 over the terms), and a product slot B products below
-        (2**m - 1)**2.  The widths differ: 2 and 3 bytes for 1 / phi(-q),
+        (2**m - 1)**2, so wp = _width(B - 1, m), as for every packed
+        product.  The widths differ: 2 and 3 bytes for 1 / phi(-q),
         whose u are +-2, in Z/2^7 at 4*10^4, 10 and 17 bytes in Z/2^64.  A
         block moves between them by one _reslot each way.  d(0) must be a
         unit: +-1 exactly, or odd mod 2**m.
@@ -451,7 +452,7 @@ class TruncatedSeries:
         down = sum(-u * counts[v] for v, u in signed.items() if u < 0)
         bias = 1 << max(bits, (down * mask).bit_length())
         wb = ((mask + bias + up * mask).bit_length() + 7) // 8
-        wp = ((block * mask * mask).bit_length() + 7) // 8
+        wp = _width(block - 1, bits)
         inv = _pack(_recur([1] + [0] * (block - 1), d, block, inv0, mask), wp, bits)
         w = 8 * wb
         top = w * block

@@ -173,3 +173,22 @@ def ck_bruteforce(k, n):
         return total
 
     return rec(k, n)
+
+
+def report_json_dict(report, source):
+    """A verify report as the object the CLI writes for it, built from the
+    record's fields: a claim subject (A, B, M) as {A, B, M}, an identity id
+    as itself, the witness only when there is one, and checks left out."""
+    subject = report.subject
+    doc = {"claim": subject if isinstance(subject, str) else dict(zip("ABM", subject)),
+           "status": report.status, "range": report.range_checked}
+    if report.witness is not None:
+        doc["witness"] = dict(zip(("n", "value"), report.witness))
+    doc["source"] = source
+    return doc
+
+
+def hit_json_dict(hit):
+    """A scan hit as the object the CLI writes for it, from its fields."""
+    return {"claim": dict(zip("ABM", hit.claim)), "checks": hit.checks,
+            "label": hit.label}

@@ -18,7 +18,7 @@ from overpart import cli, congruence, overpartitions
 from overpart.cli import main
 from overpart.series import mod2_ring
 
-from oracles import pbar_by_recurrence
+from oracles import hit_json_dict, pbar_by_recurrence, report_json_dict
 
 
 def run_cli(capsys, *argv):
@@ -330,7 +330,7 @@ def test_verify_json_is_the_reports_json_dumps():
                                       7, None, 2),
     ]
     for source in ("invert", "2adic:31", 'odd"source\u00e9'):
-        doc = [dict(r.as_json_dict(), source=source) for r in reports]
+        doc = [report_json_dict(r, source) for r in reports]
         assert cli._reports_json(reports, source) == json.dumps(doc, indent=2) + "\n"
     assert cli._reports_json([], "invert") == json.dumps([], indent=2) + "\n"
 
@@ -556,7 +556,7 @@ def test_scan_json_is_the_hits_json_dumps(capsys, name):
     pbar = overpartitions.by_inversion(args.limit, mod2_ring(7))
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
-    assert out == json.dumps([h.as_json_dict() for h in hits], indent=2) + "\n"
+    assert out == json.dumps(list(map(hit_json_dict, hits)), indent=2) + "\n"
     if name == "no hits":
         assert out == "[]\n"
     else:
@@ -580,6 +580,38 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "gen", "--limit", "3")
     assert code == 3 and out == ""
     assert "RuntimeError: boom" in err and "internal error" in err
+
+
+# -- JSON ------------------------------------------------------------------------
+
+# every kind of JSON document the CLI writes: name -> (exit code, argv)
+JSON_RUNS = {
+    "gen": (0, ("gen", "--limit", "300", "--exact", "--format", "json")),
+    "ck": (0, ("ck", "--k", "3", "--limit", "50", "--format", "json")),
+    "dissect": (0, ("dissect", "--t", "16", "--r", "14", "--mod", "16",
+                    "--limit", "3000", "--format", "json")),
+    "verify all": (0, ("verify", "all", "--limit", "10000")),
+    "verify counterexample": (1, ("verify", "claim:16,14,32", "--limit", "200")),
+    "verify past 64 bits": (1, ("verify", "claim:8,7,18446744073709551616",
+                                "--limit", "200")),
+    "scan": (0, ("scan",)),
+    "scan wide": (0, ("scan", "--amax", "128", "--mods", "4,8,16,32,64,128",
+                      "--limit", "20000")),
+    "scan no hits": (0, ("scan", "--amax", "1", "--mods", "4", "--limit", "100")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_RUNS))
+def test_json_output_is_json_dumps_indent_2(capsys, name):
+    want, argv = JSON_RUNS[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want
+    canon = json.dumps(json.loads(out), indent=2) + "\n"
+    # line by line: a failure names its first bad line, and pytest does not
+    # diff a megabyte of scan output
+    for k, (got, line) in enumerate(zip(out.splitlines(True), canon.splitlines(True))):
+        assert got == line, k
+    assert len(out) == len(canon)
 
 
 # -- entry points -------------------------------------------------------------------

@@ -146,23 +146,23 @@ def test_ring_capacity_check():
     assert verify_progression(narrow, CongruenceClaim(5, 2, 4), 50).ok
 
 
-def test_report_json_shape(pbar_mod32_20k):
-    rep = verify_progression(pbar_mod32_20k, CongruenceClaim(16, 14, 16), 500)
-    doc = rep.as_json_dict()
-    assert doc == {"claim": {"A": 16, "B": 14, "M": 16}, "status": "Verified",
-                   "range": 500}
+def test_report_fields(pbar_mod32_20k):
+    claim = CongruenceClaim(16, 14, 16)
+    rep = verify_progression(pbar_mod32_20k, claim, 500)
+    assert rep == (claim, VERIFIED, 500, None, len(range(14, 501, 16)))
+    assert (rep.subject, rep.status, rep.range_checked, rep.witness, rep.checks) == rep
     bad = verify_progression(pbar_mod32_20k, CongruenceClaim(2, 0, 4), 100)
-    assert bad.as_json_dict()["witness"] == {"n": 0, "value": 1}
+    assert bad.status == COUNTEREXAMPLE and bad.witness == (0, 1)
 
 
 def test_report_does_not_name_a_construction():
     # a report depends only on the coefficients it read, so a series built
     # by the product gives the inversion's report; the CLI names the source
     claim = CongruenceClaim(16, 14, 16)
-    docs = [verify_progression(build(100, mod2_ring(32)), claim).as_json_dict()
+    reps = [verify_progression(build(100, mod2_ring(32)), claim)
             for build in (by_product, by_inversion)]
-    assert docs[0] == docs[1] == {"claim": {"A": 16, "B": 14, "M": 16},
-                                  "status": "Verified", "range": 100}
+    assert reps[0] == reps[1] == VerificationReport(
+        claim, VERIFIED, 100, None, len(range(14, 101, 16)))
 
 
 def test_check_that_walks_no_point_is_skipped(pbar_mod32_20k):
@@ -187,8 +187,6 @@ def test_report_counts_the_points_it_checked(pbar_mod32_20k):
         assert rep.checks == n + 1
     rep = verify_progression(pbar_mod32_20k, CongruenceClaim(16, 14, 16), 13)
     assert rep.status == SKIPPED and rep.checks == 0
-    # the count is not part of the JSON report
-    assert "checks" not in rep.as_json_dict()
 
 
 @pytest.mark.parametrize("modulus", [2, 16, 256, 512, 2**64])
@@ -473,6 +471,19 @@ def test_dissection_rhs_at_every_small_order():
         assert dissection_rhs_mod16(order) == by_inversion(order, mod2_ring(4)), order
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 18, 93, 625, 6250])
+def test_dissection_prefactor_is_a4_and_one_mod_8(m):
+    # A = phi(x) and D = phi(-x) are 1 mod 2, so A^8 and D^16 are 1 mod 16:
+    # the prefactor A^12 / D^16 is A^4 in Z/2^4, and A^4 is 1 mod 8.  Only
+    # slot 0, whose factor is 1, could see it; every other slot's factor
+    # 2, 4 or 8 drops it
+    ring = mod2_ring(4)
+    A = theta.phi(m, ring)
+    D = theta.phi_neg(m, ring)
+    assert (A ** 12) * (D.invert() ** 16) == A ** 4
+    assert (A ** 4).reduce_mod(3) == TruncatedSeries.one(mod2_ring(3), m)
+
+
 def test_dissection_qq4_slot_regression():
     # the q^4 slot of the bracket is 2 phi(q^16) (4 psi(q^16)^2
     # + 3 phi(q^16) psi(q^32)); with psi(q^32)^2 in place of psi(q^16)^2
@@ -745,11 +756,12 @@ def test_valuation_string_is_the_lowest_set_bit_capped(bits):
         assert congruence._valuations(values, j) == old, j
 
 
-def test_scan_json_shape(pbar_mod32_20k):
+def test_scan_hit_fields(pbar_mod32_20k):
     hits = scan_congruences(pbar_mod32_20k, 4, (8,), 2000)
-    doc = hits[0].as_json_dict()
-    assert set(doc) == {"claim", "checks", "label"}
-    assert doc["label"] in ("KNOWN", "CANDIDATE")
+    assert hits == [ScanHit(CongruenceClaim(4, 3, 8), 500, True)]
+    assert (hits[0].claim, hits[0].checks, hits[0].known) == hits[0]
+    hits = scan_congruences(pbar_mod32_20k, 8, (8, 64), 3000)
+    assert {(h.known, h.label) for h in hits} == {(True, "KNOWN"), (False, "CANDIDATE")}
 
 
 def test_scan_validation(pbar_mod32_20k):
