@@ -55,7 +55,7 @@ from operator import add, sub
 
 from . import theta
 from .numtheory import is_prime, jacobi
-from .series import CoeffRing, TruncatedSeries, mod2_ring
+from .series import EXACT, CoeffRing, TruncatedSeries, mod2_ring
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "Counterexample"
@@ -428,9 +428,9 @@ def _reads(check) -> tuple[int, int]:
 def series_order(checks, limit: int) -> tuple[int, CoeffRing]:
     """The order and ring a series needs to run checks over the window
     [0, limit]: the order is the largest reach times limit, and the ring
-    is Z/2^j for 2^j the largest modulus the checks read."""
+    is Z/2^j for 2^j the largest modulus the checks read, or Z past 2^64."""
     top, reach = map(max, zip(*map(_reads, checks)))
-    return reach * limit, mod2_ring(top.bit_length() - 1)
+    return reach * limit, EXACT if top > 1 << 64 else mod2_ring(top.bit_length() - 1)
 
 
 def run_checks(checks, pbar: TruncatedSeries,

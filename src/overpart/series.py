@@ -6,17 +6,22 @@ every coefficient an operation reports is one it actually knows.
 
 Binary operations require the two operands to share a ring and truncate
 the result to the shorter operand's order.  A product is one multiply of
-packed integers (Kronecker substitution).  In Z, _convolve packs signed
-slots wide enough for the product and unpacks it.  In Z/2**m a series
-has two forms, a coefficient tuple and one packed integer, each made
-from the other on first need and kept; its _width(order, m)-byte slots
-hold (2**m - 1)**2 * (order + 1), so a product, sum, difference or int
-multiple is one bigint op and one & with a repeated 2**m - 1.  Such a
-result holds only its packed form, and a chain of them is unpacked once,
-when its coefficients are read.  _pack and _unpack lay coefficients into
-slots and read them back; in Z/2**m, at every width, by one struct call
-over a contiguous run of the values and one slice assignment per value
-byte (_reslot) between that run and the slots.
+packed integers (Kronecker substitution).  In Z, _convolve packs each
+operand with half a slot added to every value, in slots wide enough for
+the product, and reads the product back as the same unsigned slots.  In
+Z/2**m a series has two forms, a coefficient tuple and one packed
+integer, each made from the other on first need and kept; its
+_width(order, m)-byte slots hold (2**m - 1)**2 * (order + 1), so a
+product, sum or int multiple is one bigint op and one & with a repeated
+2**m - 1.  Such a result holds only its packed form, and a chain of them
+is unpacked once, when its coefficients are read.  A difference a - b is
+a + -b in both rings.
+
+_pack and _unpack are exact inverses over unsigned slots of values below
+2**bits, in either ring.  Up to 64 bits they make one struct call over a
+contiguous run of the values and one slice assignment per value byte
+(_reslot) between that run and the slots; past 64 bits they write and
+read each slot on its own.
 
 Division a / d, with inversion as 1 / d, has one recurrence, _recur,
 which groups the terms of d by value: one add per term plus one multiply
@@ -39,7 +44,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from operator import add, rshift, sub
+from operator import add, rshift
 
 
 class CoeffRing(namedtuple("CoeffRing", "bits")):
@@ -140,42 +145,35 @@ def _run(bits: int) -> tuple[int, str]:
     return vb, {1: "B", 2: "H", 4: "I", 8: "Q"}[vb]
 
 
-def _unpack(data, sb: int, bits: int | None = None) -> Sequence[int]:
-    """The values of little-endian sb-byte slots.  bits: each lies in
-    [0, 2**bits) and, for bits <= 64, all come back from one struct call
-    after a _reslot to the run's width.  Else each slot is read on its own."""
-    if bits is None or bits > 64:
+def _unpack(data, sb: int, bits: int) -> Sequence[int]:
+    """The values of little-endian sb-byte slots, each in [0, 2**bits): the
+    inverse of _pack.  For bits <= 64 they come back from one struct call
+    after a _reslot to the run's width; past that each slot is read on its
+    own."""
+    if bits > 64:
         return [int.from_bytes(data[i:i + sb], "little") for i in range(0, len(data), sb)]
     vb, code = _run(bits)
     return struct.unpack(f"<{len(data) // sb}{code}", _reslot(data, sb, vb, bits))
 
 
-def _pack(vals: Sequence[int], sb: int, bits: int | None = None) -> int:
-    """Pack slot values into one integer, sb bytes per slot.
-
-    bits: every value lies in [0, 2**bits), laid out by one struct call
-    and a _reslot to sb-byte slots.  bits None: each slot is written on
-    its own, and values may be negative.
-    """
-    if bits is not None:
-        vb, code = _run(bits)
-        return int.from_bytes(
-            _reslot(struct.pack(f"<{len(vals)}{code}", *vals), vb, sb, bits), "little")
-    pos = bytearray(len(vals) * sb)
-    neg = bytearray(len(vals) * sb)
-    for i, c in enumerate(vals):
-        if c > 0:
-            pos[i * sb:(i + 1) * sb] = c.to_bytes(sb, "little")
-        elif c < 0:
-            neg[i * sb:(i + 1) * sb] = (-c).to_bytes(sb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+def _pack(vals: Sequence[int], sb: int, bits: int) -> int:
+    """Values in [0, 2**bits) as one integer of sb-byte slots: the inverse
+    of _unpack.  For bits <= 64 they are laid out by one struct call and a
+    _reslot to sb-byte slots; past that each slot is written on its own."""
+    if bits > 64:
+        return int.from_bytes(b"".join([v.to_bytes(sb, "little") for v in vals]), "little")
+    vb, code = _run(bits)
+    return int.from_bytes(
+        _reslot(struct.pack(f"<{len(vals)}{code}", *vals), vb, sb, bits), "little")
 
 
 def _convolve(a: Sequence[int], b: Sequence[int], outlen: int) -> list[int]:
-    """First outlen coefficients of the product in Z: both operands are
-    packed in signed slots that no convolution sum can overflow, one
-    native multiply performs the whole convolution, and the product is
-    re-biased by half a slot before unpacking."""
+    """First outlen coefficients of the product in Z, in slots wide enough
+    that no convolution sum reaches half a slot.  Each operand is packed
+    with half a slot added to every value, so no slot is negative, less
+    the repeated half; one native multiply performs the whole convolution,
+    and the product, half a slot added back to every slot, is read by the
+    same _unpack, the half taken off each value."""
     a = a[:outlen]
     b = b[:outlen]
     amax = max(map(abs, a))
@@ -184,12 +182,12 @@ def _convolve(a: Sequence[int], b: Sequence[int], outlen: int) -> list[int]:
         return [0] * outlen
     # |sum| <= amax * bmax * len, two spare bits keep it under half a slot
     sb = ((amax * bmax * min(len(a), len(b))).bit_length() + 2 + 7) // 8
-    slot_bits = sb * 8
-    prod = _pack(a, sb) * _pack(b, sb)
-    half = 1 << (slot_bits - 1)
-    bias = _repeat(half, sb, outlen)
-    low = (prod + bias) & ((1 << (outlen * slot_bits)) - 1)
-    return [v - half for v in _unpack(low.to_bytes(outlen * sb, "little"), sb)]
+    w = 8 * sb
+    half = 1 << (w - 1)
+    pa, pb = (_pack(list(map(half.__add__, v)), sb, w) - _repeat(half, sb, len(v))
+              for v in (a, b))
+    low = (pa * pb + _repeat(half, sb, outlen)) & ((1 << (outlen * w)) - 1)
+    return [v - half for v in _unpack(low.to_bytes(outlen * sb, "little"), sb, w)]
 
 
 def _width(order: int, bits: int) -> int:
@@ -347,12 +345,7 @@ class TruncatedSeries:
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = self._common(other)
-        if self.ring.bits is None:
-            return TruncatedSeries._reduced(self.ring, map(sub, self.coeffs, other.coeffs))
-        # 2**m in every slot keeps each one non-negative
-        lift = _repeat(1 << self.ring.bits, _width(n, self.ring.bits), n + 1)
-        return self._ringed(n, self._packed(n) + lift - other._packed(n))
+        return self + -other
 
     def __neg__(self):
         return self * -1  # in Z/2**m, times 2**m - 1: no slot goes negative

@@ -14,63 +14,56 @@ suite pin them):
 
 Every theta series and (q; q)_inf (Euler's pentagonal theorem) is one
 bilateral sum, with O(sqrt(order)) nonzero terms; (-q; q)_inf is one sparse
-division.  Support is found by walking n outward until the exponent passes
-the truncation order, not by a closed-form membership test.
+division.  Each sum is given by its exponent e(n), and every e(n) here is
+at least n^2, so the terms to q^order all have |n| <= isqrt(order).
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .series import EXACT, CoeffRing, TruncatedSeries
 
 
-def _bilateral(order, ring, up, down, signed=False):
-    # sum over n in Z of (-1)^n if signed, at exponent up(k) for n = k >= 0
-    # and down(k) for n = -k, k >= 1
+def _bilateral(order, ring, e, signed=False):
+    # sum over n in Z of (-1)^n if signed, at exponent e(n) >= n^2
     c = [0] * (order + 1)
-    k = 0
-    while True:
-        term = -1 if signed and k & 1 else 1
-        hi = up(k)
-        lo = down(k) if k else hi
-        if hi <= order:
-            c[hi] += term
-        if k and lo <= order:
-            c[lo] += term
-        if hi > order and lo > order:
-            break
-        k += 1
+    k = isqrt(order)
+    for n in range(-k, k + 1):
+        x = e(n)
+        if x <= order:
+            c[x] += -1 if signed and n & 1 else 1
     return TruncatedSeries(ring, c)
 
 
 def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """phi(q) = 1 + 2q + 2q^4 + 2q^9 + ..."""
-    return _bilateral(order, ring, lambda k: k * k, lambda k: k * k)
+    return _bilateral(order, ring, lambda n: n * n)
 
 
 def phi_neg(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """phi(-q): the sign at q^(k^2) is (-1)^k."""
-    return _bilateral(order, ring, lambda k: k * k, lambda k: k * k, signed=True)
+    return _bilateral(order, ring, lambda n: n * n, signed=True)
 
 
 def psi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """psi(q) = 1 + q + q^3 + q^6 + ... (triangular numbers)."""
-    return _bilateral(order, ring, lambda k: k * (2 * k - 1), lambda k: k * (2 * k + 1))
+    return _bilateral(order, ring, lambda n: n * (2 * n - 1))
 
 
 def psi1(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """psi1(q) = 1 + q^3 + q^5 + q^14 + q^18 + ... (exponents 4n^2 + n, n in Z)."""
-    return _bilateral(order, ring, lambda k: 4 * k * k + k, lambda k: 4 * k * k - k)
+    return _bilateral(order, ring, lambda n: 4 * n * n + n)
 
 
 def psi2(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """psi2(q) = 1 + q + q^7 + q^10 + q^22 + ... (exponents 4n^2 - 3n, n in Z)."""
-    return _bilateral(order, ring, lambda k: 4 * k * k - 3 * k, lambda k: 4 * k * k + 3 * k)
+    return _bilateral(order, ring, lambda n: 4 * n * n - 3 * n)
 
 
 def pochhammer_qq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """(q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ... (pentagonal exponents)."""
-    return _bilateral(order, ring, lambda k: k * (3 * k - 1) // 2,
-                      lambda k: k * (3 * k + 1) // 2, signed=True)
+    return _bilateral(order, ring, lambda n: n * (3 * n - 1) // 2, signed=True)
 
 
 def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:

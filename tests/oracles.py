@@ -64,6 +64,30 @@ def euler_product(n_max, sign, mask=None):
     return c
 
 
+def bilateral_walk(order, up, down, signed=False, mask=None):
+    """sum over n in Z of (-1)^n if signed at q^e(n), to q^order, with
+    e(k) = up(k) and e(-k) = down(k) for k >= 0.
+
+    Walks k = 0, 1, 2, ... outward until both exponents pass the order,
+    with no bound on the range of n assumed in advance.
+    """
+    c = [0] * (order + 1)
+    k = 0
+    while True:
+        term = -1 if signed and k & 1 else 1
+        hi, lo = up(k), down(k)
+        if hi <= order:
+            c[hi] += term
+        if k and lo <= order:
+            c[lo] += term
+        if hi > order and lo > order:
+            break
+        k += 1
+    if mask is not None:
+        c = [v & mask for v in c]
+    return c
+
+
 class SquareKind(NamedTuple):
     is_square: bool
     is_twice_square: bool

@@ -315,6 +315,20 @@ def test_verify_counterexample_past_256_exits_one(capsys):
                     "range": 200, "witness": {"n": 0, "value": 64}, "source": "invert"}]
 
 
+def test_verify_claim_past_64_bits_reads_exact_coefficients(capsys):
+    # M = 2^70: no Z/2^m holds it, so invert builds pbar in Z and pbar(7) = 64
+    # fails the claim at n = 0; 2adic:31 carries only pbar mod 2^32
+    code, out, _ = run_cli(capsys, "verify", f"claim:8,7,{2**70}", "--limit", "200")
+    assert code == 1
+    assert json.loads(out) == [{"claim": {"A": 8, "B": 7, "M": 2**70},
+                                "status": "Counterexample", "range": 200,
+                                "witness": {"n": 0, "value": 64}, "source": "invert"}]
+    code, out, err = run_cli(capsys, "verify", f"claim:8,7,{2**70}", "--limit", "200",
+                             "--source", "2adic:31")
+    assert code == 2 and out == ""
+    assert "Z needs invert or product" in err
+
+
 def test_verify_json_is_the_reports_json_dumps():
     # a claim and string subjects, a witness, a Skipped report, a value
     # past 64 bits and strings json.dumps must escape

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from overpart import (CongruenceClaim, EXACT, ScanHit, TruncatedSeries,
+from overpart import (CoeffRing, CongruenceClaim, EXACT, ScanHit, TruncatedSeries,
                       VerificationReport, mod2_ring, run_checks,
                       scan_congruences, suite_checks)
 from overpart import congruence, theta
@@ -599,9 +599,11 @@ def test_claim_suite(pbar_mod32_20k):
     ("dissection", 500, 4),
     ("thm-4n:4", 4 * 500, 2),
     ("claim:16,14,32", 500, 5),
+    (f"claim:8,7,{2**64}", 500, 64),
+    (f"claim:8,7,{2**65}", 500, None),  # no Z/2^m past 64 bits: exact
 ])
 def test_series_order_gives_the_ring_the_checks_read(suite, order, bits):
-    assert congruence.series_order(suite_checks(suite), 500) == (order, mod2_ring(bits))
+    assert congruence.series_order(suite_checks(suite), 500) == (order, CoeffRing(bits))
 
 
 # what each identity id stands for, spelled out apart from IDENTITIES

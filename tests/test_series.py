@@ -6,6 +6,7 @@ inputs, exact and modular.
 """
 
 import random
+from math import isqrt
 from operator import add, sub
 
 import pytest
@@ -215,6 +216,37 @@ def test_product_sign_boundary_stress():
         c = (1 << k) - 1
         a = TruncatedSeries(EXACT, [c if i % 2 == 0 else -c for i in range(25)])
         assert list((a * a).coeffs) == schoolbook_mul(a.coeffs, a.coeffs, 25)
+
+
+@pytest.mark.parametrize("sb", [8, 9])
+@pytest.mark.parametrize("length", [1, 2, 25])
+def test_product_at_the_struct_slot_edge(monkeypatch, sb, length):
+    # 8-byte slots are the widest that one struct call packs and reads,
+    # 9-byte slots the narrowest written slot by slot; at each width the
+    # largest alternating coefficients, and at 9 the smallest that need it
+    def largest(width):  # the largest c whose c * c * length, plus 2 bits, fits width bytes
+        return isqrt(((1 << 8 * width - 2) - 1) // length)
+
+    widths = []
+    pack = series._pack
+    monkeypatch.setattr(series, "_pack", lambda *a: widths.append(a[1]) or pack(*a))
+    for c in [largest(8)] if sb == 8 else [largest(8) + 1, largest(9)]:
+        for first in (1, -1):
+            a = TruncatedSeries(EXACT, [(-1) ** i * c for i in range(length)])
+            b = TruncatedSeries(EXACT, [(-1) ** i * first * c for i in range(length)])
+            assert list((a * b).coeffs) == schoolbook_mul(a.coeffs, b.coeffs, length)
+    assert set(widths) == {sb}
+
+
+@pytest.mark.parametrize("bits", [1, 8, 9, 64, 65, 200])
+def test_pack_and_unpack_are_inverses(bits):
+    top = (1 << bits) - 1
+    vals = [0, top, top, 0, 0, top, 0]
+    for sb in ((bits + 7) // 8, (bits + 7) // 8 + 1):
+        word = series._pack(vals, sb, bits)
+        assert word == sum(v << 8 * sb * i for i, v in enumerate(vals))
+        data = word.to_bytes(len(vals) * sb, "little")
+        assert list(series._unpack(data, sb, bits)) == vals
 
 
 def test_product_with_zero():

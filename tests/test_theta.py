@@ -9,7 +9,7 @@ from overpart import mod2_ring
 from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
                             psi, psi1, psi2)
 
-from oracles import euler_product
+from oracles import bilateral_walk, euler_product
 
 N = 400
 # the Pochhammer generators are checked against the dense product expansion
@@ -71,6 +71,28 @@ def test_pochhammer_qq_prefix():
     assert list(pochhammer_qq(ORACLE_ORDER).coeffs) == euler_product(ORACLE_ORDER, -1)
     assert list(pochhammer_qq(ORACLE_ORDER, M8).coeffs) == euler_product(
         ORACLE_ORDER, -1, M8.mask)
+
+
+# (generator, e(k), e(-k), signed) of every bilateral sum
+BILATERAL_SUMS = [
+    (phi, lambda k: k * k, lambda k: k * k, False),
+    (phi_neg, lambda k: k * k, lambda k: k * k, True),
+    (psi, lambda k: k * (2 * k - 1), lambda k: k * (2 * k + 1), False),
+    (psi1, lambda k: 4 * k * k + k, lambda k: 4 * k * k - k, False),
+    (psi2, lambda k: 4 * k * k - 3 * k, lambda k: 4 * k * k + 3 * k, False),
+    (pochhammer_qq, lambda k: k * (3 * k - 1) // 2, lambda k: k * (3 * k + 1) // 2, True),
+]
+
+
+def test_bilateral_sums_match_the_outward_walk():
+    # the generators sum |n| <= isqrt(order) only; the reference walks n
+    # outward until both exponents pass the order
+    for gen, up, down, signed in BILATERAL_SUMS:
+        for order in range(151):
+            assert list(gen(order).coeffs) == bilateral_walk(
+                order, up, down, signed), (gen.__name__, order)
+            assert list(gen(order, M8).coeffs) == bilateral_walk(
+                order, up, down, signed, M8.mask), (gen.__name__, order)
 
 
 def test_pochhammer_negqq_prefix():
