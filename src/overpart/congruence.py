@@ -54,7 +54,7 @@ from math import isqrt
 from operator import add, sub
 
 from . import theta
-from .numtheory import is_prime, jacobi
+from .numtheory import is_prime, legendre
 from .series import EXACT, CoeffRing, TruncatedSeries, mod2_ring
 
 VERIFIED = "Verified"
@@ -156,11 +156,14 @@ def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
     """Claims pbar(ell^2*n + r*ell) == 0 (mod modulus) for r = 1..ell-1.
 
     modulus 16 requires ell == 7 (mod 8); modulus 8 holds for every odd
-    prime ell.  (r beyond ell-1 or divisible by ell adds nothing: the
+    prime ell < 2^16, the bound that keeps the mod-8 families to 2*10^5
+    claims.  (r beyond ell-1 or divisible by ell adds nothing: the
     progression only depends on r mod ell, and ell | r collapses it.)
     """
     if modulus not in (8, 16):
         raise ValueError(f"family verified mod 8 or mod 16 only, got {modulus}")
+    if ell >= 2**16:
+        raise ValueError(f"family parameter must be below 2^16, got ell={ell}")
     if ell < 3 or not is_prime(ell):
         raise ValueError(f"need an odd prime, got ell={ell}")
     if modulus == 16 and ell % 8 != 7:
@@ -173,24 +176,25 @@ def mod8_family_claims(ell: int) -> list[CongruenceClaim]:
     """The mod-8 claim families attached to an odd prime ell.
 
     ell^2*n + r*ell (mod 8) for every ell; 2*ell*n + r (mod 8) for odd
-    nonresidues r; 3*ell*n + r (mod 8) for ell == +-3 (mod 8) and Jacobi
-    (r/3ell) = -1; and ell*n + r for nonresidues r, mod 8 when
-    ell == +-1 (mod 8), dropping to mod 4 when ell == +-3 (mod 8).
+    nonresidues r; 3*ell*n + r (mod 8) for ell == +-3 (mod 8) and the
+    Jacobi symbol (r/3ell) = (r/3)(r/ell) = -1; and ell*n + r for
+    nonresidues r, mod 8 when ell == +-1 (mod 8), dropping to mod 4 when
+    ell == +-3 (mod 8).  Residues are Legendre symbols (numtheory.legendre).
     """
     claims = ell_family_claims(ell, 8)
     claims += [
         CongruenceClaim(2 * ell, r, 8)
-        for r in range(1, 2 * ell, 2) if jacobi(r, ell) == -1
+        for r in range(1, 2 * ell, 2) if legendre(r, ell) == -1
     ]
     if ell % 8 in (3, 5):
         claims += [
             CongruenceClaim(3 * ell, r, 8)
-            for r in range(1, 3 * ell) if jacobi(r, 3 * ell) == -1
+            for r in range(1, 3 * ell) if legendre(r, 3) * legendre(r, ell) == -1
         ]
     dichotomy_mod = 8 if ell % 8 in (1, 7) else 4
     claims += [
         CongruenceClaim(ell, r, dichotomy_mod)
-        for r in range(1, ell) if jacobi(r, ell) == -1
+        for r in range(1, ell) if legendre(r, ell) == -1
     ]
     return sorted(claims)
 

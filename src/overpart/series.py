@@ -244,6 +244,10 @@ class TruncatedSeries:
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedSeries is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return TruncatedSeries, (self.ring, self.coeffs)
+
     # -- construction helpers ------------------------------------------
 
     @classmethod

@@ -26,14 +26,15 @@ from .series import EXACT, CoeffRing, TruncatedSeries
 
 
 def _bilateral(order, ring, e, signed=False):
-    # sum over n in Z of (-1)^n if signed, at exponent e(n) >= n^2
+    # sum over n in Z of (-1)^n if signed at e(n) >= n^2, reduced as added
+    m = -1 if ring.mask is None else ring.mask
     c = [0] * (order + 1)
     k = isqrt(order)
     for n in range(-k, k + 1):
         x = e(n)
         if x <= order:
-            c[x] += -1 if signed and n & 1 else 1
-    return TruncatedSeries(ring, c)
+            c[x] = c[x] + (-1 if signed and n & 1 else 1) & m
+    return TruncatedSeries._reduced(ring, c)
 
 
 def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:

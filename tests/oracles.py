@@ -88,6 +88,14 @@ def bilateral_walk(order, up, down, signed=False, mask=None):
     return c
 
 
+def legendre_by_squares(a, p):
+    """Legendre symbol (a/p) for an odd prime p, read off the set of
+    squares mod p: 0 when p | a, 1 when a is a nonzero square, else -1."""
+    if a % p == 0:
+        return 0
+    return 1 if a % p in {x * x % p for x in range(1, p)} else -1
+
+
 class SquareKind(NamedTuple):
     is_square: bool
     is_twice_square: bool

@@ -10,6 +10,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,17 @@ def test_verify_suite_parameter_errors(capsys):
         code, out, err = run_cli(capsys, "verify", suite, "--limit", "100")
         assert code == 2 and out == ""
         assert f"need an odd prime, got ell={ell}" in err, suite
+
+
+def test_verify_family_parameter_bound(capsys):
+    # a family past ell = 2^16 is refused before any claim or series is built
+    for suite, ell in (("thm-ell:2305843009213693951", 2**61 - 1),
+                       ("families8:65537", 65537)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", suite)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert f"family parameter must be below 2^16, got ell={ell}" in err
 
 
 # sha256 and report count of `verify SUITE --limit 600` stdout, pinned so

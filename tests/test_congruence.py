@@ -21,7 +21,7 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
 from overpart.cli import main
 from overpart.overpartitions import by_inversion, by_product
 
-from oracles import square_predicates
+from oracles import legendre_by_squares, square_predicates
 
 
 # -- claims ----------------------------------------------------------------
@@ -236,6 +236,11 @@ def test_ell_family_preconditions(pbar_mod32_20k):
         ell_family_claims(2, 8)     # even
     with pytest.raises(ValueError):
         ell_family_claims(7, 32)    # unsupported modulus
+    # the bound is checked before primality, so composites past it get it too
+    for big in (65536, 65537, 2**61 - 1):
+        with pytest.raises(ValueError, match=f"must be below 2\\^16, got ell={big}"):
+            ell_family_claims(big, 8)
+    assert len(ell_family_claims(65521, 8)) == 65520   # the largest prime allowed
     assert all(r.ok for r in run_checks(ell_family_claims(5, 8), pbar_mod32_20k, 2000))
 
 
@@ -248,6 +253,22 @@ def test_mod8_family_claims_small_primes():
         (25, 15, 8), (25, 20, 8)]
     with pytest.raises(ValueError):
         mod8_family_claims(4)
+
+
+def test_mod8_family_claims_match_the_squares_oracle():
+    # every family built from residues read off the squares mod ell, with
+    # the Jacobi symbol mod 3*ell as the product of the two Legendre symbols
+    for ell in range(3, 200):
+        if any(ell % d == 0 for d in range(2, ell)):
+            continue
+        nonres = [r for r in range(1, 3 * ell) if legendre_by_squares(r, ell) == -1]
+        want = [(ell * ell, r * ell, 8) for r in range(1, ell)]
+        want += [(2 * ell, r, 8) for r in nonres if r < 2 * ell and r % 2]
+        if ell % 8 in (3, 5):
+            want += [(3 * ell, r, 8) for r in range(1, 3 * ell)
+                     if legendre_by_squares(r, 3) * legendre_by_squares(r, ell) == -1]
+        want += [(ell, r, 8 if ell % 8 in (1, 7) else 4) for r in nonres if r < ell]
+        assert [(c.A, c.B, c.M) for c in mod8_family_claims(ell)] == sorted(want), ell
 
 
 def test_mod8_family_claims_dichotomy():

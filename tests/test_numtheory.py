@@ -1,10 +1,10 @@
-"""Primality and Jacobi symbols."""
-
-import random
+"""Primality by trial division below 2^32 and Legendre symbols."""
 
 import pytest
 
-from overpart.numtheory import is_prime, jacobi
+from overpart.numtheory import is_prime, legendre
+
+from oracles import legendre_by_squares
 
 
 def sieve(limit):
@@ -31,44 +31,25 @@ def test_is_prime_carmichael_and_pseudoprimes():
 
 
 def test_is_prime_large():
-    assert is_prime(2**61 - 1)          # Mersenne prime
-    assert not is_prime(2**62 - 1)
-    assert not is_prime(2**63)          # boundary value is in range
-    for bad in (-1, 2**63 + 1):
+    # the edge of the range 0 <= n < 2^32
+    assert is_prime(4294967291)         # the largest prime below 2^32
+    assert not is_prime(2**32 - 1)
+    for bad in (-1, 2**32):
         with pytest.raises(ValueError):
             is_prime(bad)
 
 
-def test_jacobi_examples():
-    assert jacobi(3, 7) == -1
-    assert jacobi(2, 7) == 1
-    assert jacobi(0, 9) == 0
-    assert jacobi(6, 9) == 0
-    assert jacobi(5, 1) == 1
-    assert jacobi(-1, 5) == 1   # -1 is a residue mod primes == 1 (mod 4)
-    assert jacobi(-1, 7) == -1
+def test_legendre_examples():
+    assert legendre(3, 7) == -1
+    assert legendre(2, 7) == 1
+    assert legendre(0, 3) == legendre(14, 7) == 0
+    assert legendre(-1, 5) == 1   # -1 is a residue mod primes == 1 (mod 4)
+    assert legendre(-1, 7) == -1
 
 
-def test_jacobi_matches_euler_criterion():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-              59, 61, 67, 71, 73, 79, 83, 89, 97):
-        for a in range(p):
-            e = pow(a, (p - 1) // 2, p)
-            legendre = 0 if e == 0 else (1 if e == 1 else -1)
-            assert jacobi(a, p) == legendre, (a, p)
-
-
-def test_jacobi_multiplicative_in_n():
-    rng = random.Random(17)
-    for _ in range(300):
-        m = rng.randrange(1, 100, 2)
-        n = rng.randrange(1, 100, 2)
-        a = rng.randrange(0, 60)
-        assert jacobi(a, m * n) == jacobi(a, m) * jacobi(a, n)
-
-
-def test_jacobi_errors():
-    for bad_n in (0, -5, 6):
-        with pytest.raises(ValueError):
-            jacobi(3, bad_n)
-
+def test_legendre_matches_squares():
+    flags = sieve(200)
+    for p in range(3, 200):
+        if flags[p]:
+            for a in range(-p, 2 * p):
+                assert legendre(a, p) == legendre_by_squares(a, p), (a, p)

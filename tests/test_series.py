@@ -5,6 +5,8 @@ against the schoolbook implementations in oracles.py on seeded random
 inputs, exact and modular.
 """
 
+import copy
+import pickle
 import random
 from math import isqrt
 from operator import add, sub
@@ -761,6 +763,18 @@ def test_packed_series_is_immutable():
     with pytest.raises(AttributeError):
         p.coeffs = (0, 0, 0)
     assert p == TruncatedSeries(mod2_ring(4), [1, 2, 3])
+
+
+def test_copy_and_pickle_round_trip():
+    m7 = mod2_ring(7)
+    a = TruncatedSeries(m7, [1, 200, -3, 0, 77])
+    product = a * TruncatedSeries(m7, [3, 1, 4, 1, 5])
+    assert product._coeffs is None  # packed-born
+    for s in (TruncatedSeries(EXACT, [1, -2, 3**90]), a, product):
+        for back in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert back == s and back.order == s.order and back.ring == s.ring
+            with pytest.raises(AttributeError):
+                back.order = 0
 
 
 def test_dissection_unpacks_each_slot_once(monkeypatch):

@@ -86,13 +86,16 @@ BILATERAL_SUMS = [
 
 def test_bilateral_sums_match_the_outward_walk():
     # the generators sum |n| <= isqrt(order) only; the reference walks n
-    # outward until both exponents pass the order
+    # outward until both exponents pass the order.  Z/2^1 wraps the two
+    # terms n and -n that meet at one exponent (phi's 2 at n^2) to 0.
     for gen, up, down, signed in BILATERAL_SUMS:
         for order in range(151):
             assert list(gen(order).coeffs) == bilateral_walk(
                 order, up, down, signed), (gen.__name__, order)
-            assert list(gen(order, M8).coeffs) == bilateral_walk(
-                order, up, down, signed, M8.mask), (gen.__name__, order)
+            for ring in (mod2_ring(1), M8, mod2_ring(64)):
+                assert list(gen(order, ring).coeffs) == bilateral_walk(
+                    order, up, down, signed, ring.mask), (gen.__name__, order, ring)
+    assert phi(9, mod2_ring(1)).coeffs == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_pochhammer_negqq_prefix():
