@@ -12,8 +12,8 @@ Constructions:
   by_inversion  1 / phi(-q)
   two_adic      1 + sum_{k=1..K} 2^k sum_n (-1)^(n+k) c_k(n) q^n
 
-The first two are sparse divisions, by the pentagonal (q; q)_inf and by
-the square-sparse phi(-q), and agree exactly at every order.  The
+The first two are sparse divisions, by (q^2; q^2)_inf and (q; q)_inf and
+by the square-sparse phi(-q), and agree exactly at every order.  The
 truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
 that is its contract, so two_adic returns it in Z/2^(K+1), and
 generating_series refuses exact values or a wider ring for it.  Asked
@@ -48,8 +48,8 @@ TWO_ADIC = "2adic"
 
 
 def by_product(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """(-q; q)_inf / (q; q)_inf: two sparse divisions by the pentagonal
-    (q; q)_inf, since (-q; q)_inf is itself (q^2; q^2)_inf / (q; q)_inf."""
+    """(-q; q)_inf / (q; q)_inf, with (-q; q)_inf = psi(q) / (q^2; q^2)_inf:
+    two sparse divisions, neither by phi(-q), so independent of by_inversion."""
     return theta.pochhammer_negqq(order, ring) / theta.pochhammer_qq(order, ring)
 
 

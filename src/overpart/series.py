@@ -23,14 +23,14 @@ contiguous run of the values and one slice assignment per value byte
 (_reslot) between that run and the slots; past 64 bits they write and
 read each slot on its own.
 
-Division a / d, with inversion as 1 / d, has one recurrence, _recur,
-which groups the terms of d by value: one add per term plus one multiply
-per distinct value.  In Z the coefficients grow without bound, no fixed
-slot width holds them, and _recur is the whole division.  In Z/2**m it
-only inverts d to the block order B = _block(order, m); each block of B
-quotient coefficients is then one multiply by that inverse, once the
-terms of d are summed over the finished blocks as shifts of packed
-pairs of blocks.  All series are immutable.
+Division a / d, with inversion as 1 / d, has one recurrence, _recur: per
+quotient coefficient, one sum in C for each distinct value of d.  In Z
+the coefficients grow without bound, no fixed slot width holds them, and
+_recur is the whole division.  In Z/2**m it only inverts d to the block
+order B = _block(order, m); each block of B quotient coefficients is
+then one multiply by that inverse, once the terms of d are summed over
+the finished blocks as shifts of packed pairs of blocks.  All series are
+immutable.
 
 The public constructor reduces its coefficients into the ring.  Results
 whose values are already in it (quotients, reindexings) are stored by
@@ -44,7 +44,7 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import compress
-from operator import add, rshift
+from operator import add, itemgetter, rshift
 
 
 class CoeffRing(namedtuple("CoeffRing", "bits")):
@@ -203,23 +203,24 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
 
         c(k) = d(0)^-1 * (a(k) - sum_v v * sum_{i in S_v, i <= k} c(k - i))
 
-    where S_v holds the exponents i >= 1 with d(i) = v: one add per term
-    and one multiply per distinct value.  inv0 = d(0)^-1; each c(k) is
-    reduced by & mask (-1 in Z).
+    where S_v holds the exponents i >= 1 with d(i) = v.  The quotient grows
+    after a sentinel 0, so at step k each c(k - i) is c[-i], a fixed index,
+    and each value is one multiply of one sum in C of itemgetter(0, -i, ...),
+    rebuilt when a term joins; the 0 keeps a one-term result a tuple.
+    inv0 = d(0)^-1; c(k) is reduced by & mask, -1 in Z.
     """
-    c = list(a[:n])
-    groups = {}  # v -> the exponents 1 <= i <= k with d(i) = v
+    c = [0]
+    idx = {}  # v -> [0, -i, ...] over the exponents 1 <= i <= k with d(i) = v
+    getters = {}  # v -> itemgetter(*idx[v])
     for k in range(n):
-        if k and d[k]:
-            groups.setdefault(d[k], []).append(k)
-        s = c[k]
-        for v, exps in groups.items():
-            t = 0
-            for i in exps:
-                t += c[k - i]
-            s -= v * t
-        c[k] = inv0 * s & mask
-    return c
+        if k and (v := d[k]):
+            idx.setdefault(v, [0]).append(-k)
+            getters[v] = itemgetter(*idx[v])
+        s = a[k]
+        for v, g in getters.items():
+            s -= v * sum(g(c))
+        c.append(inv0 * s & mask)
+    return c[1:]
 
 
 class TruncatedSeries:
@@ -387,9 +388,8 @@ class TruncatedSeries:
     def __truediv__(self, other):
         """Quotient self / other, truncated to the shorter order.
 
-        In Z the coefficients of 1 / phi(-q) grow like e^(pi sqrt n), no
-        fixed slot width holds them, and the quotient is the grouped
-        recurrence of _recur over the whole series.
+        In Z no fixed slot width holds the coefficients (those of
+        1 / phi(-q) grow like e^(pi sqrt n)), and _recur is the quotient.
 
         In Z/2**m the quotient c = a / d is built in blocks [b, e) of at
         most B = _block(order, m) coefficients.  With P = 1/d mod q^B, from

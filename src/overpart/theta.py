@@ -10,11 +10,12 @@ suite pin them):
     psi2(q) = sum_{n in Z} q^(4n^2 - 3n)
 
     (q; q)_inf  = prod_{n >= 1} (1 - q^n) = sum_{n in Z} (-1)^n q^(n(3n-1)/2)
-    (-q; q)_inf = prod_{n >= 1} (1 + q^n) = (q^2; q^2)_inf / (q; q)_inf
+    (-q; q)_inf = prod_{n >= 1} (1 + q^n) = psi(q) / (q^2; q^2)_inf  (Gauss)
 
 Every theta series and (q; q)_inf (Euler's pentagonal theorem) is one
 bilateral sum, with O(sqrt(order)) nonzero terms; (-q; q)_inf is one sparse
-division.  Each sum is given by its exponent e(n), and every e(n) here is
+division, whose divisor has about 1/sqrt(2) as many terms below each q^k
+as (q; q)_inf.  Each sum is given by its exponent e(n), and every e(n) is
 at least n^2, so the terms to q^order all have |n| <= isqrt(order).
 """
 
@@ -68,6 +69,5 @@ def pochhammer_qq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
 
 
 def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """(-q; q)_inf, the generating function for partitions into distinct parts."""
-    qq = pochhammer_qq(order, ring)
-    return qq.substitute_power(2) / qq
+    """(-q; q)_inf = psi(q) / (q^2; q^2)_inf: partitions into distinct parts."""
+    return psi(order, ring) / pochhammer_qq(order, ring).substitute_power(2)

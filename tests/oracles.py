@@ -47,6 +47,31 @@ def schoolbook_invert(a, mask=None):
     return out
 
 
+def recur_grouped(a, d, n, inv0, mask):
+    """First n coefficients of a / d, the division recurrence with the
+    terms of d grouped by value and summed in a plain loop:
+
+        c(k) = inv0 * (a(k) - sum_v v * sum_{i in S_v, i <= k} c(k - i))
+
+    where S_v holds the exponents i >= 1 with d(i) = v, and each c(k) is
+    reduced by & mask (-1 in Z).  The reference for series._recur, which
+    takes the same arguments.
+    """
+    c = list(a[:n])
+    groups = {}  # v -> the exponents 1 <= i <= k with d(i) = v
+    for k in range(n):
+        if k and d[k]:
+            groups.setdefault(d[k], []).append(k)
+        s = c[k]
+        for v, exps in groups.items():
+            t = 0
+            for i in exps:
+                t += c[k - i]
+            s -= v * t
+        c[k] = inv0 * s & mask
+    return c
+
+
 def euler_product(n_max, sign, mask=None):
     """prod_{k=1}^{n_max} (1 + sign*q^k) to q^n_max, one factor at a time.
 

@@ -99,6 +99,25 @@ def test_gen_mod_every_width_prints_the_exact_column(capsys):
                 assert (code, out) == (0, want), (m, limit, source)
 
 
+# sha256 of the stdout of the exact gen runs: the one the benchmark times
+# (whose harness checks only the coefficient column) and the everyday
+# 20000-row dump, which both sources must write byte for byte
+GEN_20000 = "8d532cd7c45463919114a7dfc3c7d52cdfddeda210128504c7ecc719d61907b8"
+PINNED_GEN_RUNS = {
+    "gen --limit 5000 --exact --source product":
+        "12753c80b6cd5bcf0d6d0b3f0b7bce28d41ae1c26286878cfef318394cbe8eb1",
+    "gen --limit 20000 --exact": GEN_20000,
+    "gen --limit 20000 --exact --source product": GEN_20000,
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_GEN_RUNS))
+def test_gen_exact_output_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_GEN_RUNS[argv]
+
+
 # -- ck ---------------------------------------------------------------------
 
 def test_ck_output(capsys):

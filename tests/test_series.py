@@ -16,7 +16,7 @@ import pytest
 from overpart import (EXACT, CoeffRing, TruncatedSeries, congruence, mod2_ring,
                       overpartitions, series, theta)
 
-from oracles import schoolbook_invert, schoolbook_mul
+from oracles import recur_grouped, schoolbook_invert, schoolbook_mul
 
 M32 = mod2_ring(32)
 
@@ -376,6 +376,51 @@ def test_division_by_grouped_values_matches_schoolbook(ring, make):
         inv = schoolbook_invert(list(d.coeffs), ring.mask)
         assert list(d.invert().coeffs) == inv
         assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
+
+
+def recur_divisor(rng, ring, n, values):
+    # a unit d(0) and terms at about half the exponents 1 <= i < n, each
+    # a value drawn from values, or every term its own value when values
+    # is None; the series reduces them, so Z/2 keeps one value only
+    c = [0] * max(n, 1)
+    c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 64, 2)
+    exps = sorted(rng.sample(range(1, n), (n - 1) // 2)) if n > 1 else []
+    own = rng.sample(range(1, 10**6), len(exps))
+    for j, i in enumerate(exps):
+        c[i] = rng.choice([-1, 1]) * own[j] if values is None else rng.choice(values)
+    return TruncatedSeries(ring, c).coeffs
+
+
+RECUR_RINGS = [EXACT, mod2_ring(1), mod2_ring(8), mod2_ring(64)]
+RECUR_RING_IDS = ["Z", "Z/2", "Z/2^8", "Z/2^64"]
+
+
+@pytest.mark.parametrize("ring", RECUR_RINGS, ids=RECUR_RING_IDS)
+def test_recur_matches_grouped_oracle(ring):
+    # _recur reads each value's terms by fixed negative indices behind a
+    # sentinel; the reference sums them in a plain loop over k - i
+    rng = random.Random(41)
+    mask = -1 if ring.is_exact else ring.mask
+
+    def check(a, d, n):
+        inv0 = ring.invert_unit(d[0])
+        assert series._recur(a, d, n, inv0, mask) == recur_grouped(a, d, n, inv0, mask)
+
+    for values in ([3], [-1, 2], None):  # one value, two values, all distinct
+        for n in (0, 1, 2, 3, 50):
+            for _ in range(4):
+                d = recur_divisor(rng, ring, n, values)
+                a = rand_series(rng, ring, max(n - 1, 0), lo=-10**6, hi=10**6).coeffs
+                check(a, d, n)
+                check([1] + [0] * n, d, n)  # the inverse, as the Z/2^m block uses
+    # the package's own divisors
+    order = 300
+    a = rand_series(rng, ring, order, lo=-10**6, hi=10**6).coeffs
+    for d in (theta.pochhammer_qq(order, ring),
+              theta.pochhammer_qq(order, ring).substitute_power(2),
+              theta.phi_neg(order, ring)):
+        check(a, d.coeffs, order + 1)
+        check([1] + [0] * order, d.coeffs, order + 1)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 63, 128, 256, 512, 1024])

@@ -5,7 +5,7 @@ The five identities proved here at order 400 are re-verified at order
 definitional checks the identities rest on.
 """
 
-from overpart import mod2_ring
+from overpart import EXACT, mod2_ring
 from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
                             psi, psi1, psi2)
 
@@ -153,8 +153,18 @@ def test_phi_inverse_product_expansion():
 
 
 def test_pochhammer_product_identity():
-    # (q; q) (-q; q) = (q^2; q^2)
+    # (q; q) (-q; q) = (q^2; q^2): an identity without psi, from which
+    # (-q; q) is built
     assert pochhammer_qq(N) * pochhammer_negqq(N) == sub(pochhammer_qq(N), 2)
+
+
+def test_psi_is_qq2_times_negqq():
+    # Gauss: psi(q) = (q^2; q^2) (-q; q), at every order and in every ring
+    # the series divide in
+    for ring in (EXACT, mod2_ring(1), M8, mod2_ring(64)):
+        for order in range(201):
+            assert psi(order, ring) == (
+                sub(pochhammer_qq(order, ring), 2) * pochhammer_negqq(order, ring)), (ring, order)
 
 
 # -- plumbing ----------------------------------------------------------------
