@@ -27,15 +27,16 @@ window that holds no point of the check) it is Skipped.  One checked
 point is enough for Verified; the report counts the pairs it walked.
 The dissection walks its coefficient mismatches before its vanishing
 columns 7, 14, 15.  A check hands _verdict its points as an iterator
-and their values; for a modulus up to 256 the residues are one bytes,
-the first nonzero one is found by lstrip, and the points are read only
-for a witness.  kim8 and the pbar(4n) tiers pick their points by a byte
-mask and itertools.compress.
+and their residues, one bytes up to modulus 256: the low byte of each
+coefficient through one translate table, and a pbar(4n) tier's or the
+dissection's differences by one packed subtraction.  The first nonzero
+residue is found by lstrip; the points are read only for a witness.
+kim8 and the tiers pick their points by a byte mask and compress.
 
 The scanner does not walk residues.  It reads the window once as a string
 of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
-asked for: the residues mod 2^j as one bytes, put through one translate
-table.  A progression An + B clears every M up to 2^v, where v is
+asked for: the same low bytes, put through one translate table.  A
+progression An + B clears every M up to 2^v, where v is
 the least valuation on its slice, found by asking the slice for 0, 1, 2,
 ... in turn (each a memchr).  Its evidence threshold is min_checks.
 scan_plan checks a scan's arguments before any series is built and names
@@ -51,11 +52,10 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, compress, islice
 from math import isqrt
-from operator import add, sub
 
 from . import theta
 from .numtheory import is_prime, legendre
-from .series import EXACT, CoeffRing, TruncatedSeries, mod2_ring
+from .series import EXACT, CoeffRing, TruncatedSeries, _repeat, mod2_ring
 
 VERIFIED = "Verified"
 COUNTEREXAMPLE = "Counterexample"
@@ -127,15 +127,29 @@ def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
     return limit
 
 
-def _verdict(subject, limit, ns, values, modulus) -> VerificationReport:
-    """The verdict on the points of the iterable ns, whose values run in
-    step with them: Counterexample at the first value nonzero mod modulus,
-    with (n, residue) as witness, else Verified; Skipped if ns is empty.
-    Counts the points it walks.  Past modulus 256 the residues are a list,
-    searched through the bytes of their truth values."""
-    res = map((modulus - 1).__and__, values)
-    res = bytes(res) if modulus <= 256 else list(res)
-    rest = (res if modulus <= 256 else bytes(map(bool, res))).lstrip(b"\0")
+def _residues(coeffs, ring: CoeffRing, modulus: int):
+    """The coefficients mod modulus: a list past 256, else their low bytes (in
+    a ring of at most 8 bits, the values themselves) by one translate table."""
+    if modulus > 256:
+        return list(map((modulus - 1).__and__, coeffs))
+    low = bytes(coeffs) if (ring.mask or 256) < 256 else bytes(map((255).__and__, coeffs))
+    return low.translate(bytes(range(modulus)) * (256 // modulus))
+
+
+def _sub(x: bytes, y: bytes, modulus: int) -> bytes:
+    """(x - y) mod modulus per byte, x < modulus <= 128 and y <= modulus, by one
+    packed subtraction: each slot is lifted by 0x80 (0 mod modulus), so none borrows."""
+    n = len(y)
+    d = int.from_bytes(x, "little") + _repeat(0x80, 1, n) - int.from_bytes(y, "little")
+    return (d & _repeat(modulus - 1, 1, n)).to_bytes(n, "little")
+
+
+def _verdict(subject, limit, ns, res) -> VerificationReport:
+    """The verdict on the points of the iterable ns, whose residues res (a
+    list past modulus 256, else one bytes) run in step with them:
+    Counterexample at the first nonzero one, with (n, residue) as witness,
+    else Verified; Skipped if res is empty.  Counts the points it walks."""
+    rest = (bytes(map(bool, res)) if isinstance(res, list) else res).lstrip(b"\0")
     if not rest:
         return VerificationReport(subject, VERIFIED if res else SKIPPED, limit,
                                   None, len(res))
@@ -148,8 +162,8 @@ def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
                        limit: int | None = None) -> VerificationReport:
     """Check one claim for every n with A*n + B <= limit."""
     limit = _window(pbar, limit, claim.M)
-    row = pbar.coeffs[claim.B:limit + 1:claim.A]
-    return _verdict(claim, limit, range(len(row)), row, claim.M)
+    res = _residues(pbar.coeffs[claim.B:limit + 1:claim.A], pbar.ring, claim.M)
+    return _verdict(claim, limit, range(len(res)), res)
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -208,8 +222,8 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries,
         keep[k * k] = 0
     for k in range(isqrt(limit // 2) + 1):
         keep[2 * k * k] = 0
-    return _verdict("mod8-nonsquare", limit, compress(range(limit + 1), keep),
-                    compress(pbar.coeffs, keep), 8)
+    res = bytes(compress(_residues(pbar.coeffs[:limit + 1], pbar.ring, 8), keep))
+    return _verdict("mod8-nonsquare", limit, compress(range(limit + 1), keep), res)
 
 
 # tier -> (uses (-1)^n sign, the n mod 8 it leaves out, leaves out odd squares)
@@ -243,11 +257,11 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     subject = _4n_check(modulus)
     limit = _window(pbar, limit, modulus, reach=4)
     signed, skip_mod8, skip_odd_squares = _4N_TIERS[modulus]
-    co = pbar.coeffs
-    # values[n] = pbar(4n) - (-1)^n pbar(n), with the sign only if signed
-    values = list(map(sub, co[:4 * limit + 1:4], co[:limit + 1]))
+    # res[n] = pbar(4n) - (-1)^n pbar(n), the sign (r -> modulus - r) if signed
+    y = bytearray(_residues(pbar.coeffs[:limit + 1], pbar.ring, modulus))
     if signed:
-        values[1::2] = map(add, co[4:4 * limit + 1:8], co[1:limit + 1:2])
+        y[1::2] = y[1::2].translate(bytes(range(modulus, 0, -1)) * (256 // modulus))
+    res = _sub(_residues(pbar.coeffs[:4 * limit + 1:4], pbar.ring, modulus), y, modulus)
     keep = bytearray(b"\1") * (limit + 1)
     keep[0] = 0
     for r in skip_mod8:
@@ -256,7 +270,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
         for k in range(1, isqrt(limit) + 1, 2):
             keep[k * k] = 0
     return _verdict(subject, limit, compress(range(limit + 1), keep),
-                    compress(values, keep), modulus)
+                    bytes(compress(res, keep)))
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -322,12 +336,12 @@ def verify_dissection_mod16(pbar: TruncatedSeries,
     compare coefficientwise; also require the q^(16n+7), q^(16n+14) and
     q^(16n+15) columns of the rebuilt series to vanish identically."""
     limit = _window(pbar, limit, 16)
-    rhs = dissection_rhs_mod16(limit).coeffs
+    rhs = bytes(dissection_rhs_mod16(limit).coeffs)
     columns = (7, 14, 15)
     ns = chain(range(limit + 1), *(range(j, limit + 1, 16) for j in columns))
-    # map stops at the end of rhs, q^limit
-    values = chain(map(sub, rhs, pbar.coeffs), *(rhs[j::16] for j in columns))
-    return _verdict("dissection-mod16", limit, ns, values, 16)
+    res = _sub(rhs, _residues(pbar.coeffs[:limit + 1], pbar.ring, 16), 16)
+    return _verdict("dissection-mod16", limit, ns,
+                    res + b"".join(rhs[j::16] for j in columns))
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
@@ -475,11 +489,11 @@ def scan_plan(amax: int, mods, limit: int,
     return mods, mod2_ring(mods[-1].bit_length() - 1)
 
 
-def _valuations(coeffs, j: int) -> bytes:
-    """min(v2(c), j) per c, 1 <= j <= 8: the residues mod 2^j as one bytes,
-    translated by a table of their valuations, with v2(0) counted as j."""
+def _valuations(coeffs, ring: CoeffRing, j: int) -> bytes:
+    """min(v2(c), j) per c, 1 <= j <= 8: the coefficients mod 256 as one
+    bytes, translated by a table of their valuations, v2(0) counted as j."""
     table = bytes(min((r & -r).bit_length() - 1, j) if r else j for r in range(256))
-    return bytes(map(((1 << j) - 1).__and__, coeffs)).translate(table)
+    return _residues(coeffs, ring, 256).translate(table)
 
 
 def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
@@ -510,7 +524,7 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     j = top.bit_length() - 1
     limit = _window(pbar, limit, top)
     known = known_claims()
-    val = _valuations(pbar.coeffs[:limit + 1], j)
+    val = _valuations(pbar.coeffs[:limit + 1], pbar.ring, j)
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
     clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
     hits = []

@@ -327,9 +327,6 @@ class TruncatedSeries:
         body = " + ".join(terms) if terms else "0"
         return f"<series {body} (order {self.order}, {self.ring})>"
 
-    def is_zero(self) -> bool:
-        return not self._word if self._word is not None else not any(self._coeffs)
-
     # -- arithmetic ----------------------------------------------------
 
     def _common(self, other) -> int:

@@ -6,6 +6,7 @@ recurrence.  Nothing in this module imports from overpart.
 """
 
 from math import isqrt
+from operator import add, sub
 from typing import NamedTuple
 
 
@@ -137,6 +138,74 @@ def square_predicates(n):
     h = isqrt(n // 2)
     is_twice = n % 2 == 0 and 2 * h * h == n
     return SquareKind(is_sq, is_twice, is_sq and r & 1 == 1)
+
+
+def is_zero(series):
+    """Whether every coefficient a series holds, to its order, is 0."""
+    return not any(series.coeffs)
+
+
+def residue_walk(ns, values, modulus):
+    """The verdict on the points ns and their values, walked one pair at a
+    time with each residue taken as value & (modulus - 1):
+    ("Counterexample", (n, residue), checks) at the first nonzero residue,
+    else ("Verified", None, checks), or ("Skipped", None, 0) with no pair.
+    The reference for the verifiers' byte walk."""
+    checks = 0
+    for n, v in zip(ns, values):
+        checks += 1
+        if v & (modulus - 1):
+            return "Counterexample", (n, v & (modulus - 1)), checks
+    return ("Verified" if checks else "Skipped"), None, checks
+
+
+def progression_walk(co, A, B, M, limit):
+    """pbar(A*n + B) == 0 (mod M) for every A*n + B <= limit."""
+    row = co[B:limit + 1:A]
+    return residue_walk(range(len(row)), row, M)
+
+
+def nonsquare_points(limit):
+    """The n <= limit that are neither a square nor twice one."""
+    return [n for n in range(limit + 1)
+            if not any(square_predicates(n)[:2])]
+
+
+def nonsquare_walk(co, limit):
+    """pbar(n) == 0 (mod 8) at every nonsquare_points(limit)."""
+    ns = nonsquare_points(limit)
+    return residue_walk(ns, [co[n] for n in ns], 8)
+
+
+def tier_points(modulus, limit):
+    """The n-set of the pbar(4n) tier mod modulus, from n = 1 to limit:
+    every n at mod 4, 8 and 16; n not an odd square at mod 32; n not 1, 2
+    or 5 mod 8 at mod 64; n == 0 mod 4 at mod 128."""
+    keep = {4: lambda n: True, 8: lambda n: True, 16: lambda n: True,
+            32: lambda n: not square_predicates(n).is_odd_square,
+            64: lambda n: n % 8 not in (1, 2, 5),
+            128: lambda n: n % 4 == 0}[modulus]
+    return [n for n in range(1, limit + 1) if keep(n)]
+
+
+def tier_walk(co, modulus, limit):
+    """pbar(4n) == (-1)^n pbar(n) (mod modulus), with no sign at mod 4, at
+    every tier_points(modulus, limit), from a list of differences."""
+    values = list(map(sub, co[:4 * limit + 1:4], co[:limit + 1]))
+    if modulus > 4:
+        values[1::2] = map(add, co[4:4 * limit + 1:8], co[1:limit + 1:2])
+    ns = tier_points(modulus, limit)
+    return residue_walk(ns, [values[n] for n in ns], modulus)
+
+
+def dissection_walk(co, rhs, limit):
+    """rhs(n) - pbar(n) == 0 (mod 16) for every n <= limit, then rhs(n) ==
+    0 (mod 16) on the columns n == 7, 14, 15 mod 16, in that order."""
+    columns = [range(j, limit + 1, 16) for j in (7, 14, 15)]
+    ns = [*range(limit + 1), *(n for c in columns for n in c)]
+    values = [rhs[n] - co[n] for n in range(limit + 1)]
+    values += [rhs[n] for c in columns for n in c]
+    return residue_walk(ns, values, 16)
 
 
 def square_indicator(order):

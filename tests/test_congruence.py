@@ -21,7 +21,8 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
 from overpart.cli import main
 from overpart.overpartitions import by_inversion, by_product
 
-from oracles import legendre_by_squares, square_predicates
+import oracles
+from oracles import is_zero, legendre_by_squares, square_predicates
 
 
 # -- claims ----------------------------------------------------------------
@@ -191,20 +192,100 @@ def test_report_counts_the_points_it_checked(pbar_mod32_20k):
 
 @pytest.mark.parametrize("modulus", [2, 16, 256, 512, 2**64])
 def test_verdict_reads_its_points_as_an_iterator(modulus):
-    # the points arrive as a one-pass iterator and are read only for the
-    # witness; up to 256 the residues are one bytes, past it a list, so a
-    # residue of 256 or 2^63 still comes back whole
+    # _verdict takes the residues _residues makes of the values: up to 256
+    # one bytes, past it a list, so a residue of 256 or 2^63 still comes
+    # back whole; the points arrive as a one-pass iterator and are read
+    # only for the witness
     big = modulus // 2
     for values, want in [([0, 0, 0], None), ([big, 0, 0], (10, big)),
                          ([0, modulus, 3 * modulus + big], (12, big)),
-                         ([modulus + 1, 0], (10, 1))]:
+                         ([modulus + 1, 0], (10, 1)),
+                         ([-modulus, -big], (11, big))]:
         ns = iter(range(10, 10 + len(values)))
-        rep = congruence._verdict("s", 99, ns, iter(values), modulus)
+        res = congruence._residues(values, EXACT, modulus)
+        assert isinstance(res, bytes) == (modulus <= 256)
+        rep = congruence._verdict("s", 99, ns, res)
         assert rep.witness == want
         assert rep.status == (VERIFIED if want is None else COUNTEREXAMPLE)
         assert rep.checks == (len(values) if want is None else want[0] - 9)
-    rep = congruence._verdict("s", 99, iter(()), iter(()), modulus)
+    rep = congruence._verdict("s", 99, iter(()), congruence._residues([], EXACT, modulus))
     assert rep.status == SKIPPED and rep.checks == 0
+
+
+_DIFF_LIMIT = 200
+_DIFF_RINGS = [mod2_ring(4), mod2_ring(7), mod2_ring(8), mod2_ring(9),
+               mod2_ring(32), EXACT, "exact-negative"]
+
+
+def _diff_cases(base, points, modulus):
+    """base as it is, then with a fault planted at the first, a middle and
+    the last of the coefficient indices points: + 1, + modulus/2 and
+    + modulus - 1, each nonzero mod modulus."""
+    yield base
+    for i, delta in zip((0, len(points) // 2, -1), (1, modulus // 2, modulus - 1)):
+        co = list(base)
+        co[points[i]] += delta
+        yield co
+
+
+@pytest.fixture(scope="module")
+def diff_pbar():
+    return list(by_inversion(4 * _DIFF_LIMIT, EXACT).coeffs)
+
+
+@pytest.mark.parametrize("ring", _DIFF_RINGS, ids=str)
+def test_verifiers_match_the_residue_walk_oracle(ring, diff_pbar):
+    # every verifier gives the oracle's (status, witness, checks): the
+    # plain pbar series, progressions whose points hold multiples of M,
+    # and faults planted at the first, a middle and the last point; in the
+    # exact-negative case every coefficient n == 1, 2 mod 3 is lowered by
+    # a multiple of 2^70, negative and past 256 but equal mod M <= 2^65
+    L = _DIFF_LIMIT
+    base = diff_pbar
+    if ring == "exact-negative":
+        ring = EXACT
+        base = [c - (n % 3 << 70) for n, c in enumerate(base)]
+    bits = 65 if ring.bits is None else ring.bits
+
+    def agree(co, verify, walk):
+        pbar = TruncatedSeries(ring, co)
+        rep = verify(pbar)
+        assert (rep.status, rep.witness, rep.checks) == walk(list(pbar.coeffs))
+        return rep.status
+
+    statuses = set()
+    for M in [2 ** k for k in (1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 33, 64, 65)]:
+        if M > 1 << bits:
+            with pytest.raises(ValueError, match="cannot resolve"):
+                verify_progression(TruncatedSeries(ring, base), CongruenceClaim(8, 7, M))
+            continue
+        for A, B in [(1, 0), (5, 2), (8, 7), (16, 14)]:
+            claim = CongruenceClaim(A, B, M)
+            points = range(B, L + 1, A)
+            zeroed = list(base)
+            for i, p in enumerate(points):
+                zeroed[p] = M * (i - 3)
+            for limit in (L, 13):
+                for co in [*_diff_cases(base, points, M), *_diff_cases(zeroed, points, M)]:
+                    statuses.add(agree(
+                        co, lambda s: verify_progression(s, claim, limit),
+                        lambda c: oracles.progression_walk(c, A, B, M, limit)))
+    if bits >= 3:
+        for co in _diff_cases(base, oracles.nonsquare_points(L), 8):
+            statuses.add(agree(co, lambda s: verify_mod8_nonsquare(s, L),
+                               lambda c: oracles.nonsquare_walk(c, L)))
+    for m in (4, 8, 16, 32, 64, 128):
+        if m > 1 << bits:
+            continue
+        points = [4 * n for n in oracles.tier_points(m, L)]
+        for co in _diff_cases(base, points, m):
+            statuses.add(agree(co, lambda s: verify_4n_relations(s, m, L),
+                               lambda c: oracles.tier_walk(c, m, L)))
+    rhs = dissection_rhs_mod16(L).coeffs
+    for co in _diff_cases(base, range(L + 1), 16):
+        statuses.add(agree(co, lambda s: verify_dissection_mod16(s, L),
+                           lambda c: oracles.dissection_walk(c, rhs, L)))
+    assert statuses == {VERIFIED, COUNTEREXAMPLE, SKIPPED}
 
 
 def test_claim_past_256_reads_its_residues_as_a_list():
@@ -436,9 +517,9 @@ def test_dissection_accepts_supplied_series(pbar_mod32_20k):
 def test_dissection_rhs_vanishing_columns():
     rhs = dissection_rhs_mod16(1024)
     for r in (7, 14, 15):
-        assert rhs.dissect(16, r).is_zero()
+        assert is_zero(rhs.dissect(16, r))
     for r in (0, 6, 13):
-        assert not rhs.dissect(16, r).is_zero()
+        assert not is_zero(rhs.dissect(16, r))
 
 
 def q_assembly_rhs_mod16(order):
@@ -776,7 +857,7 @@ def test_valuation_string_is_the_lowest_set_bit_capped(bits):
                   *(rng.getrandbits(bits) for _ in range(200))]
         values = [v & mask for v in values]
         old = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in values)
-        assert congruence._valuations(values, j) == old, j
+        assert congruence._valuations(values, mod2_ring(bits), j) == old, j
 
 
 def test_scan_hit_fields(pbar_mod32_20k):

@@ -16,7 +16,7 @@ import pytest
 from overpart import (EXACT, CoeffRing, TruncatedSeries, congruence, mod2_ring,
                       overpartitions, series, theta)
 
-from oracles import recur_grouped, schoolbook_invert, schoolbook_mul
+from oracles import is_zero, recur_grouped, schoolbook_invert, schoolbook_mul
 
 M32 = mod2_ring(32)
 
@@ -124,8 +124,8 @@ def test_equality_and_hash():
 
 def test_zero_detection_and_repr():
     z = TruncatedSeries.zero(EXACT, 5)
-    assert z.is_zero()
-    assert not TruncatedSeries.one(EXACT, 5).is_zero()
+    assert is_zero(z)
+    assert not is_zero(TruncatedSeries.one(EXACT, 5))
     assert "order 5" in repr(z)
     assert "q^2" in repr(TruncatedSeries(EXACT, [0, 0, 7]))
 
@@ -254,8 +254,8 @@ def test_pack_and_unpack_are_inverses(bits):
 def test_product_with_zero():
     a = TruncatedSeries(EXACT, [1, 2, 3])
     z = TruncatedSeries.zero(EXACT, 2)
-    assert (a * z).is_zero()
-    assert (z * z).is_zero()
+    assert is_zero(a * z)
+    assert is_zero(z * z)
 
 
 def test_power_matches_repeated_product():
@@ -573,8 +573,8 @@ def test_shift_is_monomial_multiplication():
     a = rand_series(rng, EXACT, 20)
     for k in (0, 1, 7, 20):
         assert a.shift(k) == a * TruncatedSeries.monomial(EXACT, 20, k)
-    assert a.shift(21).is_zero()
-    assert a.shift(100).is_zero()
+    assert is_zero(a.shift(21))
+    assert is_zero(a.shift(100))
     with pytest.raises(ValueError):
         a.shift(-1)
 
@@ -794,9 +794,9 @@ def test_packed_born_equals_and_hashes_like_tuple_born(bits):
         assert p != packed_born(TruncatedSeries(ring, a.coeffs + (0,)))
         assert p != TruncatedSeries(mod2_ring(65 - bits) if bits != 1 else M32, a.coeffs)
         assert p.order == order and p[order] == a.coeffs[order]
-        assert p.is_zero() == a.is_zero()
+        assert is_zero(p) == is_zero(a)
     z = packed_born(TruncatedSeries.zero(ring, 9))
-    assert z.is_zero() and z == TruncatedSeries.zero(ring, 9)
+    assert is_zero(z) and z == TruncatedSeries.zero(ring, 9)
 
 
 def test_packed_series_is_immutable():
