@@ -21,7 +21,8 @@ scan write it from %-format templates that share one claim template, byte
 for byte what json.dumps(indent=2) writes for the list of one object per
 report, {claim, status, range, [witness,] source}, or per hit, {claim,
 checks, label}.  A claim is {A, B, M}, an identity's claim its id.  A
-report's checks count stays out.
+report's checks count stays out.  A hit, flat (A, B, M, checks, label),
+is written by one % of a template that holds the claim template.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import count
 
 from . import congruence, overpartitions
 from .series import EXACT, mod2_ring
@@ -96,11 +98,10 @@ def _mod_bits(modulus: int) -> int:
     return bits
 
 
-def _emit_rows(fmt: str, header: list[str], rows: list[list]) -> str:
+def _emit_rows(fmt: str, header: list[str], rows: list[tuple]) -> str:
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(map(str, row)) for row in rows]
-        return "\n".join(lines) + "\n"
+        line = ",".join(["%s"] * len(header)) + "\n"
+        return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
     if fmt == "json":
         doc = [dict(zip(header, row)) for row in rows]
         return json.dumps(doc, indent=2) + "\n"
@@ -123,7 +124,7 @@ def cmd_gen(args) -> tuple[str, int]:
 
 def cmd_ck(args) -> tuple[str, int]:
     header = ["n"] + [f"c{k}" for k in range(1, args.k + 1)]
-    rows = [[n, *counts] for n, counts in enumerate(zip(*ck_table(args.k, args.limit)))]
+    rows = list(zip(count(), *ck_table(args.k, args.limit)))
     return _emit_rows(args.format, header, rows), 0
 
 
@@ -145,7 +146,7 @@ def _report_rows(reports, source):
         c = rep.subject
         subject = c if isinstance(c, str) else f"{c.A}n+{c.B}_mod_{c.M}"
         wn, wv = ("", "") if rep.witness is None else rep.witness
-        rows.append([subject, rep.status, rep.range_checked, wn, wv, source])
+        rows.append((subject, rep.status, rep.range_checked, wn, wv, source))
     return rows
 
 
@@ -153,7 +154,7 @@ def _report_rows(reports, source):
 _CLAIM_JSON = '{\n      "A": %d,\n      "B": %d,\n      "M": %d\n    }'
 _REPORT_JSON = '  {\n    "claim": %s,\n    "status": %s,\n    "range": %d%s,\n    "source": %s\n  }'
 _WITNESS_JSON = ',\n    "witness": {\n      "n": %d,\n      "value": %d\n    }'
-_HIT_JSON = '  {\n    "claim": %s,\n    "checks": %d,\n    "label": "%s"\n  }'
+_HIT_JSON = '  {\n    "claim": %s,\n    "checks": %%d,\n    "label": "%%s"\n  }' % _CLAIM_JSON
 
 
 def _json_list(items: list[str]) -> str:
@@ -199,11 +200,8 @@ def cmd_scan(args) -> tuple[str, int]:
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
     if args.format == "json":
-        return _json_list([_HIT_JSON % (_CLAIM_JSON % h.claim, h.checks, h.label)
-                           for h in hits]), 0
-    header = ["A", "B", "M", "checks", "label"]
-    rows = [[h.claim.A, h.claim.B, h.claim.M, h.checks, h.label] for h in hits]
-    return _emit_rows(args.format, header, rows), 0
+        return _json_list(list(map(_HIT_JSON.__mod__, hits))), 0
+    return _emit_rows(args.format, ["A", "B", "M", "checks", "label"], hits), 0
 
 
 _COMMANDS = {

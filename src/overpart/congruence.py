@@ -40,7 +40,8 @@ progression An + B clears every M up to 2^v, where v is
 the least valuation on its slice, found by asking the slice for 0, 1, 2,
 ... in turn (each a memchr).  Its evidence threshold is min_checks.
 scan_plan checks a scan's arguments before any series is built and names
-the ring it reads, Z/2^j.
+the ring it reads, Z/2^j.  A hit is one flat ScanHit(A, B, M, checks,
+label); its claim is built only when it is read.
 
 Claims, reports and scan hits are immutable named tuples: a claim orders,
 hashes and compares as (A, B, M), and _make and _replace check it.  They
@@ -50,7 +51,7 @@ know no output format; the CLI alone writes them as JSON, CSV or a table.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
 from math import isqrt
 
 from . import theta
@@ -99,14 +100,20 @@ class VerificationReport(namedtuple(
         return self.status != COUNTEREXAMPLE
 
 
-class ScanHit(namedtuple("ScanHit", "claim checks known")):
-    """A progression the scanner could not refute within its window."""
+class ScanHit(namedtuple("ScanHit", "A B M checks label")):
+    """A progression the scanner could not refute within its window: the
+    claim's (A, B, M), the points it checked, and its label, "KNOWN" when
+    `verify all` checks that exact claim, else "CANDIDATE"."""
 
     __slots__ = ()
 
     @property
-    def label(self) -> str:
-        return "KNOWN" if self.known else "CANDIDATE"
+    def claim(self) -> CongruenceClaim:
+        return CongruenceClaim(*self[:3])
+
+    @property
+    def known(self) -> bool:
+        return self.label == "KNOWN"
 
 
 def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
@@ -527,7 +534,7 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     val = _valuations(pbar.coeffs[:limit + 1], pbar.ring, j)
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
     clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
-    hits = []
+    rows = []
     # row An + B holds at least min_checks points iff B + span*A <= limit
     span = min_checks - 1
     if span:
@@ -538,7 +545,11 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
             v = 0
             while v < j and v not in row:
                 v += 1
-            for M in clears[v]:
-                claim = CongruenceClaim(A, B, M)
-                hits.append(ScanHit(claim, len(row), claim in known))
-    return hits
+            if clears[v]:
+                rows.append((A, B, len(row), clears[v]))
+    # a plain (A, B, M) hashes and compares as the claim it names
+    hits = ((A, B, M, n, "KNOWN" if (A, B, M) in known else "CANDIDATE")
+            for A, B, n, ms in rows for M in ms)
+    # ScanHit's generated __new__ checks nothing, so tuple.__new__ skips
+    # only its argument parsing; each plain tuple is freed once copied
+    return list(map(tuple.__new__, repeat(ScanHit), hits))

@@ -617,6 +617,20 @@ def test_scan_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch, mods, 
     assert rings == [mod2_ring(bits)]
 
 
+def test_verify_2adic_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch):
+    # verify all reads residues up to mod 128, so 2adic:31 builds at depth 6
+    # in Z/2^7, not in the Z/2^32 the source could carry
+    rings = _record_rings(monkeypatch)
+    built = []
+    two_adic = overpartitions.two_adic
+    monkeypatch.setattr(overpartitions, "two_adic",
+                        lambda order, depth: built.append(depth) or two_adic(order, depth))
+    code, _, _ = run_cli(capsys, "verify", "all", "--limit", "1500", "--source", "2adic:31")
+    assert code == 0
+    assert rings == [mod2_ring(7)]
+    assert built == [6]
+
+
 def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")

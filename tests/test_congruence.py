@@ -62,7 +62,7 @@ def test_claims_order_and_hash():
     assert type(pickle.loads(pickle.dumps(a))) is CongruenceClaim
     # rings, claims, reports and hits are all immutable
     report = VerificationReport(a, VERIFIED, 100, None, 25)
-    for record in (mod2_ring(7), a, report, ScanHit(a, 25, True)):
+    for record in (mod2_ring(7), a, report, ScanHit(4, 3, 8, 25, "KNOWN")):
         for field in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, field, 1)
@@ -862,10 +862,27 @@ def test_valuation_string_is_the_lowest_set_bit_capped(bits):
 
 def test_scan_hit_fields(pbar_mod32_20k):
     hits = scan_congruences(pbar_mod32_20k, 4, (8,), 2000)
-    assert hits == [ScanHit(CongruenceClaim(4, 3, 8), 500, True)]
-    assert (hits[0].claim, hits[0].checks, hits[0].known) == hits[0]
+    assert hits == [ScanHit(4, 3, 8, 500, "KNOWN")]
+    assert (*hits[0].claim, hits[0].checks, hits[0].label) == hits[0]
     hits = scan_congruences(pbar_mod32_20k, 8, (8, 64), 3000)
     assert {(h.known, h.label) for h in hits} == {(True, "KNOWN"), (False, "CANDIDATE")}
+
+
+def test_scan_hits_are_flat_records_of_valid_claims():
+    # scan-wide's window: every hit's claim is valid, its label is KNOWN
+    # exactly for the claims verify all checks, and it pickles as a ScanHit
+    pbar = by_inversion(20_000, mod2_ring(7))
+    hits = scan_congruences(pbar, 128, (4, 8, 16, 32, 64, 128), 20_000)
+    assert len(hits) == 9591
+    known = known_claims()
+    for h in hits:
+        assert type(h.claim) is CongruenceClaim and h.claim == h[:3]
+        assert h.label in ("KNOWN", "CANDIDATE")
+        assert h.known == (h.label == "KNOWN") == (h[:3] in known)
+        back = pickle.loads(pickle.dumps(h))
+        assert type(back) is ScanHit
+        assert back == h == (h.A, h.B, h.M, h.checks, h.label)
+    assert {h.label for h in hits} == {"KNOWN", "CANDIDATE"}
 
 
 def test_scan_validation(pbar_mod32_20k):
