@@ -6,10 +6,11 @@ Subcommands: gen (coefficient dump), verify (built-in suites), ck
 
 Contract: data on stdout, timing on stderr, byte-identical output for
 identical invocations.  Exit 0 on success / all checks passing, 1 when a
-verification found a counterexample, 2 on usage errors, including a verify
-window that reaches no point of its suite (every check Skipped), a scan
-window too short for --min-checks and a 2adic:K source asked for more than
-pbar mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
+verification found a counterexample, 2 on usage errors, including a
+--limit whose q^(4 * limit) is past an index, a verify window that
+reaches no point of its suite (every check Skipped), a scan window too
+short for --min-checks and a 2adic:K source asked for more than pbar
+mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
 stderr, and only this path imports traceback).  JSON output is one
 document; CSV is unquoted.  Reports do not know which construction built
 their series; verify stamps --source on every row.  scan checks its
@@ -22,7 +23,8 @@ for byte what json.dumps(indent=2) writes for the list of one object per
 report, {claim, status, range, [witness,] source}, or per hit, {claim,
 checks, label}.  A claim is {A, B, M}, an identity's claim its id.  A
 report's checks count stays out.  A hit, flat (A, B, M, checks, label),
-is written by one % of a template that holds the claim template.
+is written by one % of a template that holds the claim template.  The
+integer rows of gen, ck and dissect are written by one %d template each.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import time
 from itertools import count
 
 from . import congruence, overpartitions
-from .series import EXACT, mod2_ring
+from .series import EXACT, CoeffRing, mod2_ring
 from .squares import ck_table
 
 _FORMATS = ("csv", "json", "table")
@@ -91,11 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _mod_bits(modulus: int) -> int:
+def _mod_ring(modulus: int | None) -> CoeffRing:
+    """The ring of --mod: EXACT when it is absent."""
+    if modulus is None:
+        return EXACT
     bits = modulus.bit_length() - 1
     if modulus < 2 or (1 << bits) != modulus or bits > 64:
         raise ValueError(f"--mod wants a power of two in 2..2^64, got {modulus}")
-    return bits
+    return mod2_ring(bits)
 
 
 def _emit_rows(fmt: str, header: list[str], rows: list[tuple]) -> str:
@@ -103,8 +108,8 @@ def _emit_rows(fmt: str, header: list[str], rows: list[tuple]) -> str:
         line = ",".join(["%s"] * len(header)) + "\n"
         return ",".join(header) + "\n" + "".join(map(line.__mod__, rows))
     if fmt == "json":
-        doc = [dict(zip(header, row)) for row in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        item = "  {\n" + ",\n".join(f'    "{h}": %d' for h in header) + "\n  }"
+        return _json_list(list(map(item.__mod__, rows)))
     widths = [max(len(h), *(len(str(r[i])) for r in rows)) if rows else len(h)
               for i, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
@@ -114,11 +119,8 @@ def _emit_rows(fmt: str, header: list[str], rows: list[tuple]) -> str:
 
 
 def cmd_gen(args) -> tuple[str, int]:
-    if args.mod is None:
-        ring, column = EXACT, "pbar"
-    else:
-        ring, column = mod2_ring(_mod_bits(args.mod)), f"pbar_mod_{args.mod}"
-    series = overpartitions.generating_series(args.limit, ring, args.source)
+    column = "pbar" if args.mod is None else f"pbar_mod_{args.mod}"
+    series = overpartitions.generating_series(args.limit, _mod_ring(args.mod), args.source)
     return _emit_rows(args.format, ["n", column], list(enumerate(series.coeffs))), 0
 
 
@@ -129,8 +131,7 @@ def cmd_ck(args) -> tuple[str, int]:
 
 
 def cmd_dissect(args) -> tuple[str, int]:
-    ring = EXACT if args.mod is None else mod2_ring(_mod_bits(args.mod))
-    series = overpartitions.generating_series(args.limit, ring, args.source)
+    series = overpartitions.generating_series(args.limit, _mod_ring(args.mod), args.source)
     sliced = series.dissect(args.t, args.r)
     return _emit_rows(args.format, ["n", "value"], list(enumerate(sliced.coeffs))), 0
 
@@ -220,6 +221,10 @@ def main(argv=None) -> int:
     try:
         if args.limit < 0:
             raise ValueError(f"--limit must be >= 0, got {args.limit}")
+        # verify reads out to q^(4 * limit), which must stay an index
+        if 4 * args.limit >= sys.maxsize:
+            raise ValueError(f"--limit must be below {-(-sys.maxsize // 4)}, "
+                             f"got {args.limit}")
         out, code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

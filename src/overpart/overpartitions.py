@@ -37,8 +37,7 @@ from __future__ import annotations
 from math import isqrt
 
 from . import theta
-from .series import (DEFAULT_RING, EXACT, CoeffRing, TruncatedSeries, _repeat,
-                     _unpack, mod2_ring)
+from .series import EXACT, CoeffRing, TruncatedSeries, _repeat, _unpack, mod2_ring
 # unused here; the benchmark's tracer wraps ck_table at this attribute
 from .squares import ck_table
 
@@ -92,16 +91,15 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     return TruncatedSeries._reduced(mod2_ring(m), c)
 
 
-def generating_series(order: int, ring: CoeffRing | None = None,
+def generating_series(order: int, ring: CoeffRing,
                       source: str = INVERSION) -> TruncatedSeries:
-    """Build the pbar series from a named source.
+    """Build the pbar series in ring from a named source.
 
-    source is "invert", "product", or "2adic:K", 1 <= K <= 63.  ring
-    defaults to Z/2^32, the library default, or for "2adic:K" to
-    Z/2^(K+1); pass EXACT for true coefficients.  "2adic:K" carries pbar
-    mod 2^(K+1) only, so EXACT or a ring wider than Z/2^(K+1) is refused.
-    Asked for Z/2^j with j <= K+1, it is built at depth max(1, j - 1)
-    alone: the terms past that depth are 0 mod 2^j.
+    source is "invert", "product", or "2adic:K", 1 <= K <= 63.  Pass EXACT
+    for true coefficients.  "2adic:K" carries pbar mod 2^(K+1) only, so
+    EXACT or a ring wider than Z/2^(K+1) is refused.  Asked for Z/2^j with
+    j <= K+1, it is built at depth max(1, j - 1) alone: the terms past
+    that depth are 0 mod 2^j.
     """
     if source.startswith(TWO_ADIC + ":"):
         try:
@@ -109,16 +107,12 @@ def generating_series(order: int, ring: CoeffRing | None = None,
         except ValueError:
             raise ValueError(f"bad 2-adic source {source!r}; expected 2adic:K")
         _check_depth(depth)
-        if ring is None:
-            return two_adic(order, depth)
         if ring.is_exact or ring.bits > depth + 1:
             raise ValueError(
                 f"source {source} carries pbar mod 2^{depth + 1} only; {ring} needs "
                 + ("invert or product" if ring.is_exact else f"2adic:{ring.bits - 1}"))
         series = two_adic(order, max(1, ring.bits - 1))
         return series if series.ring == ring else series.reduce_mod(ring.bits)
-    if ring is None:
-        ring = DEFAULT_RING
     if source == INVERSION:
         return by_inversion(order, ring)
     if source == PRODUCT:

@@ -97,13 +97,6 @@ def mod2_ring(bits: int) -> CoeffRing:
     return CoeffRing(bits)
 
 
-# The library default when a caller names no ring: wide enough for every
-# modulus in scope (<= 2^7).  The CLI builds each run in the ring its
-# checks read instead (congruence.series_order), and the 2-adic source
-# carries its own Z/2^(K+1).
-DEFAULT_RING = mod2_ring(32)
-
-
 def _block(order: int, bits: int) -> int:
     """Quotient coefficients per block of the division in Z/2**bits:
     16 * 2**(bit_length(order) // 3) when bits <= 8, half that for wider

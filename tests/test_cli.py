@@ -83,6 +83,23 @@ def test_gen_flag_validation(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    f"gen --limit {10 ** 19}",
+    f"verify all --limit {2 ** 61}",
+    f"scan --limit {10 ** 20}",
+    f"dissect --t 2 --r 0 --limit {10 ** 20}",
+    f"ck --k 2 --limit {10 ** 20}",
+])
+def test_limit_past_an_index_is_a_usage_error(capsys, argv):
+    # verify reads out to q^(4 * limit); a limit whose 4 * limit is not an
+    # index is refused before anything is built, not left to fail in a build
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert "error: --limit must be below" in err and "Traceback" not in err
+
+
 def test_gen_mod_every_width_prints_the_exact_column(capsys):
     # every modulus --mod accepts, 2 .. 2^64, builds its ring and exits 0;
     # exit 3 is kept for bugs.  Both sources divide in Z/2^m, at widths

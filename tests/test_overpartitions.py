@@ -4,7 +4,6 @@ import pytest
 
 from overpart import (EXACT, by_inversion, by_product, generating_series,
                       mod2_ring, two_adic)
-from overpart.series import DEFAULT_RING
 
 from oracles import (count_by_enumeration, pbar_by_recurrence, square_predicates,
                      two_adic_by_counts)
@@ -131,9 +130,10 @@ def test_two_adic_source_builds_only_the_depth_its_ring_reads():
 def test_generating_series_sources():
     assert generating_series(50, EXACT, "product") == by_product(50)
     assert generating_series(50, EXACT, "invert") == by_inversion(50)
-    assert generating_series(50, None, "2adic:3") == two_adic(50, 3)
-    assert generating_series(10).ring == DEFAULT_RING
-    assert generating_series(10).reduce_mod(32) == by_inversion(10).reduce_mod(32)
+    assert generating_series(50, mod2_ring(4), "2adic:3") == two_adic(50, 3)
+    # the caller names the ring: there is no default to fall back on
+    with pytest.raises(TypeError):
+        generating_series(10)
 
 
 def test_generating_series_bad_source():
