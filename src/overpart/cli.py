@@ -9,13 +9,13 @@ identical invocations.  Exit 0 on success / all checks passing, 1 when a
 verification found a counterexample, 2 on usage errors, including a
 --limit whose q^(4 * limit) is past an index, a verify window that
 reaches no point of its suite (every check Skipped), a scan window too
-short for --min-checks and a 2adic:K source asked for more than pbar
-mod 2^(K+1), 3 on an internal error (a bug: the traceback goes to
-stderr, and only this path imports traceback).  JSON output is one
-document; CSV is unquoted.  Reports do not know which construction built
-their series; verify stamps --source on every row.  scan checks its
-arguments before it builds the series and builds it in the ring of its
-largest modulus.
+short for --min-checks, a 2adic:K source asked for more than pbar mod
+2^(K+1) and a window too large for memory, 3 on an internal error (a
+bug: the traceback goes to stderr, and only this path imports
+traceback).  JSON output is one document; CSV is unquoted.  Reports do
+not know which construction built their series; verify stamps --source
+on every row.  scan checks its arguments before it builds the series and
+builds it in the ring of its largest modulus.
 
 The CLI alone knows how a report or a scan hit looks as JSON.  verify and
 scan write it from %-format templates that share one claim template, byte
@@ -226,8 +226,8 @@ def main(argv=None) -> int:
             raise ValueError(f"--limit must be below {-(-sys.maxsize // 4)}, "
                              f"got {args.limit}")
         out, code = _COMMANDS[args.command](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory; try a smaller --limit'}", file=sys.stderr)
         return 2
     except Exception as exc:
         import traceback

@@ -7,13 +7,13 @@ or Skipped -- never anything probabilistic.  Passing a window is evidence,
 not proof; the scanner labels fresh finds CANDIDATE accordingly.
 
 All verifiers read the pbar series they are given through its public
-coefficients only, so any construction of the series (product,
-inversion, 2-adic to adequate depth) yields identical reports; a report
-does not record which one was used.  Checks are run by name through one
-entry point: run_checks(suite_checks(name), pbar, limit), where SUITES
-maps every suite name to its checks and IDENTITIES maps every identity
-id to the modulus it reads, its reach and its verifier; series_order
-reads the same table to size and ring the series.
+coefficients only (coeffs or low_bytes()), so any construction of the
+series (product, inversion, 2-adic to adequate depth) yields identical
+reports; a report does not record which one was used.  Checks are run
+by name through one entry point: run_checks(suite_checks(name), pbar,
+limit), where SUITES maps every suite name to its checks and IDENTITIES
+maps every identity id to the modulus it reads, its reach and its
+verifier; series_order reads the same table to size and ring the series.
 
 One window rule serves every check and the scanner: the window is
 [0, limit], by default the widest the series holds, and a negative
@@ -26,22 +26,19 @@ witness, with none the check is Verified, and with no pairs at all (a
 window that holds no point of the check) it is Skipped.  One checked
 point is enough for Verified; the report counts the pairs it walked.
 The dissection walks its coefficient mismatches before its vanishing
-columns 7, 14, 15.  A check hands _verdict its points as an iterator
-and their residues, one bytes up to modulus 256: the low byte of each
-coefficient through one translate table, and a pbar(4n) tier's or the
-dissection's differences by one packed subtraction.  The first nonzero
-residue is found by lstrip; the points are read only for a witness.
-kim8 and the tiers pick their points by a byte mask and compress.
+columns 7, 14, 15.  A check hands _verdict its residues, one bytes up to
+modulus 256: a slice of the series' low_bytes() through one translate
+table, and a pbar(4n) tier's or the dissection's differences by one
+packed subtraction.  The first nonzero residue is found by lstrip.  kim8
+and the tiers hand over a byte mask of their points too: the residues
+of the points they leave out are zeroed and the kept points counted.
 
-The scanner does not walk residues.  It reads the window once as a string
-of 2-adic valuations, min(v2(pbar(n)), j) with 2^j the largest modulus
-asked for: the same low bytes, put through one translate table.  A
-progression An + B clears every M up to 2^v, where v is
-the least valuation on its slice, found by asking the slice for 0, 1, 2,
-... in turn (each a memchr).  Its evidence threshold is min_checks.
-scan_plan checks a scan's arguments before any series is built and names
-the ring it reads, Z/2^j.  A hit is one flat ScanHit(A, B, M, checks,
-label); its claim is built only when it is read.
+The scanner does not walk residues: it reads the window once as 2-adic
+valuations, the same low bytes through one translate table, and a row
+An + B clears every M up to 2^(its least valuation); see
+scan_congruences.  scan_plan checks a scan's arguments before any series
+is built and names the ring it reads.  A hit is one flat ScanHit(A, B,
+M, checks, label); its claim is built only when it is read.
 
 Claims, reports and scan hits are immutable named tuples: a claim orders,
 hashes and compares as (A, B, M), and _make and _replace check it.  They
@@ -51,7 +48,7 @@ know no output format; the CLI alone writes them as JSON, CSV or a table.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, compress, islice, repeat
+from itertools import repeat
 from math import isqrt
 
 from . import theta
@@ -134,13 +131,12 @@ def _window(pbar: TruncatedSeries, limit: int | None, modulus: int,
     return limit
 
 
-def _residues(coeffs, ring: CoeffRing, modulus: int):
-    """The coefficients mod modulus: a list past 256, else their low bytes (in
-    a ring of at most 8 bits, the values themselves) by one translate table."""
+def _residues(pbar: TruncatedSeries, modulus: int, *window):
+    """pbar's coefficients at range(*window) mod modulus: a list past 256,
+    else one translate of that slice of its low bytes."""
     if modulus > 256:
-        return list(map((modulus - 1).__and__, coeffs))
-    low = bytes(coeffs) if (ring.mask or 256) < 256 else bytes(map((255).__and__, coeffs))
-    return low.translate(bytes(range(modulus)) * (256 // modulus))
+        return list(map((modulus - 1).__and__, pbar.coeffs[slice(*window)]))
+    return pbar.low_bytes()[slice(*window)].translate(bytes(range(modulus)) * (256 // modulus))
 
 
 def _sub(x: bytes, y: bytes, modulus: int) -> bytes:
@@ -151,26 +147,27 @@ def _sub(x: bytes, y: bytes, modulus: int) -> bytes:
     return (d & _repeat(modulus - 1, 1, n)).to_bytes(n, "little")
 
 
-def _verdict(subject, limit, ns, res) -> VerificationReport:
-    """The verdict on the points of the iterable ns, whose residues res (a
-    list past modulus 256, else one bytes) run in step with them:
-    Counterexample at the first nonzero one, with (n, residue) as witness,
-    else Verified; Skipped if res is empty.  Counts the points it walks."""
+def _verdict(subject, limit, res, keep=None) -> VerificationReport:
+    """The verdict on the points n = 0, 1, ... whose residues are res (a
+    list past modulus 256, else one bytes), or only on those where the
+    bytes keep holds 1, the others' residues zeroed: Counterexample at the
+    first nonzero one, with (n, residue) as witness, else Verified; Skipped
+    if there is no point.  Counts the points it walks."""
+    if keep is not None:
+        res = (int.from_bytes(res, "little") & int.from_bytes(keep, "little") * 255
+               ).to_bytes(len(res), "little")
     rest = (bytes(map(bool, res)) if isinstance(res, list) else res).lstrip(b"\0")
-    if not rest:
-        return VerificationReport(subject, VERIFIED if res else SKIPPED, limit,
-                                  None, len(res))
     k = len(res) - len(rest)
-    return VerificationReport(subject, COUNTEREXAMPLE, limit,
-                              (next(islice(ns, k, None)), res[k]), k + 1)
+    checks = min(k + 1, len(res)) if keep is None else keep.count(1, 0, k + 1)
+    status = COUNTEREXAMPLE if rest else VERIFIED if checks else SKIPPED
+    return VerificationReport(subject, status, limit, (k, res[k]) if rest else None, checks)
 
 
 def verify_progression(pbar: TruncatedSeries, claim: CongruenceClaim,
                        limit: int | None = None) -> VerificationReport:
     """Check one claim for every n with A*n + B <= limit."""
     limit = _window(pbar, limit, claim.M)
-    res = _residues(pbar.coeffs[claim.B:limit + 1:claim.A], pbar.ring, claim.M)
-    return _verdict(claim, limit, range(len(res)), res)
+    return _verdict(claim, limit, _residues(pbar, claim.M, claim.B, limit + 1, claim.A))
 
 
 def ell_family_claims(ell: int, modulus: int) -> list[CongruenceClaim]:
@@ -229,8 +226,7 @@ def verify_mod8_nonsquare(pbar: TruncatedSeries,
         keep[k * k] = 0
     for k in range(isqrt(limit // 2) + 1):
         keep[2 * k * k] = 0
-    res = bytes(compress(_residues(pbar.coeffs[:limit + 1], pbar.ring, 8), keep))
-    return _verdict("mod8-nonsquare", limit, compress(range(limit + 1), keep), res)
+    return _verdict("mod8-nonsquare", limit, _residues(pbar, 8, limit + 1), keep)
 
 
 # tier -> (uses (-1)^n sign, the n mod 8 it leaves out, leaves out odd squares)
@@ -265,10 +261,10 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     limit = _window(pbar, limit, modulus, reach=4)
     signed, skip_mod8, skip_odd_squares = _4N_TIERS[modulus]
     # res[n] = pbar(4n) - (-1)^n pbar(n), the sign (r -> modulus - r) if signed
-    y = bytearray(_residues(pbar.coeffs[:limit + 1], pbar.ring, modulus))
+    y = bytearray(_residues(pbar, modulus, limit + 1))
     if signed:
         y[1::2] = y[1::2].translate(bytes(range(modulus, 0, -1)) * (256 // modulus))
-    res = _sub(_residues(pbar.coeffs[:4 * limit + 1:4], pbar.ring, modulus), y, modulus)
+    res = _sub(_residues(pbar, modulus, 0, 4 * limit + 1, 4), y, modulus)
     keep = bytearray(b"\1") * (limit + 1)
     keep[0] = 0
     for r in skip_mod8:
@@ -276,8 +272,7 @@ def verify_4n_relations(pbar: TruncatedSeries, modulus: int,
     if skip_odd_squares:
         for k in range(1, isqrt(limit) + 1, 2):
             keep[k * k] = 0
-    return _verdict(subject, limit, compress(range(limit + 1), keep),
-                    bytes(compress(res, keep)))
+    return _verdict(subject, limit, res, keep)
 
 
 def dissection_rhs_mod16(order: int) -> TruncatedSeries:
@@ -329,12 +324,14 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
         (12, 8 * (Psq * P)),
         (13, 8 * (A * P * P2)),
     ]
-    # invert D before powering: phi(-x) is square-sparse, D^16 is not
+    # invert D before powering: phi(-x) is square-sparse, D^16 is not.
+    # A^12 / D^16 == 1 (mod 8), and every slot past 0 carries a factor 2,
+    # 4 or 8, so only slot 0 is multiplied by it
     prefactor = (A ** 12) * (D.invert() ** 16)
-    out = [0] * (order + 1)
+    out = bytearray(order + 1)
     for j, f in slots:
-        out[j::16] = (prefactor * f).coeffs[:(order - j) // 16 + 1]
-    return TruncatedSeries._reduced(ring, out)
+        out[j::16] = (prefactor * f if j == 0 else f).low_bytes()[:(order - j) // 16 + 1]
+    return TruncatedSeries._from_bytes(ring, out)
 
 
 def verify_dissection_mod16(pbar: TruncatedSeries,
@@ -343,12 +340,14 @@ def verify_dissection_mod16(pbar: TruncatedSeries,
     compare coefficientwise; also require the q^(16n+7), q^(16n+14) and
     q^(16n+15) columns of the rebuilt series to vanish identically."""
     limit = _window(pbar, limit, 16)
-    rhs = bytes(dissection_rhs_mod16(limit).coeffs)
+    rhs = dissection_rhs_mod16(limit).low_bytes()
     columns = (7, 14, 15)
-    ns = chain(range(limit + 1), *(range(j, limit + 1, 16) for j in columns))
-    res = _sub(rhs, _residues(pbar.coeffs[:limit + 1], pbar.ring, 16), 16)
-    return _verdict("dissection-mod16", limit, ns,
-                    res + b"".join(rhs[j::16] for j in columns))
+    res = _sub(rhs, _residues(pbar, 16, limit + 1), 16)
+    rep = _verdict("dissection-mod16", limit, res + b"".join(rhs[j::16] for j in columns))
+    if rep.witness and rep.checks > limit + 1:  # a column's point: n from its place
+        ns = [n for j in columns for n in range(j, limit + 1, 16)]
+        rep = rep._replace(witness=(ns[rep.checks - limit - 2], rep.witness[1]))
+    return rep
 
 
 def combined_family_claims(kmax: int) -> list[CongruenceClaim]:
@@ -496,11 +495,11 @@ def scan_plan(amax: int, mods, limit: int,
     return mods, mod2_ring(mods[-1].bit_length() - 1)
 
 
-def _valuations(coeffs, ring: CoeffRing, j: int) -> bytes:
-    """min(v2(c), j) per c, 1 <= j <= 8: the coefficients mod 256 as one
-    bytes, translated by a table of their valuations, v2(0) counted as j."""
+def _valuations(pbar: TruncatedSeries, limit: int, j: int) -> bytes:
+    """min(v2(pbar(n)), j) per n <= limit, 1 <= j <= 8: pbar's low bytes,
+    translated by a table of their valuations, v2(0) counted as j."""
     table = bytes(min((r & -r).bit_length() - 1, j) if r else j for r in range(256))
-    return _residues(coeffs, ring, 256).translate(table)
+    return pbar.low_bytes()[:limit + 1].translate(table)
 
 
 def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
@@ -531,7 +530,7 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     j = top.bit_length() - 1
     limit = _window(pbar, limit, top)
     known = known_claims()
-    val = _valuations(pbar.coeffs[:limit + 1], pbar.ring, j)
+    val = _valuations(pbar, limit, j)
     # 2^v divides a whole row whose least valuation is v: it clears M <= 2^v
     clears = [[M for M in mods if M <= 1 << v] for v in range(j + 1)]
     rows = []

@@ -87,8 +87,10 @@ def two_adic(order: int, depth: int) -> TruncatedSeries:
     t = one
     for _ in range(depth):
         t = lift + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
-    c = _unpack(t.to_bytes((order + 1) * sb, "little"), sb, m)[::-1]
-    return TruncatedSeries._reduced(mod2_ring(m), c)
+    data = t.to_bytes((order + 1) * sb, "big")  # q^0 first, each slot high byte first
+    if m <= 8:
+        return TruncatedSeries._from_bytes(mod2_ring(m), data[sb - 1::sb])
+    return TruncatedSeries._reduced(mod2_ring(m), _unpack(data[::-1], sb, m)[::-1])
 
 
 def generating_series(order: int, ring: CoeffRing,

@@ -9,32 +9,23 @@ the result to the shorter operand's order.  A product is one multiply of
 packed integers (Kronecker substitution).  In Z, _convolve packs each
 operand with half a slot added to every value, in slots wide enough for
 the product, and reads the product back as the same unsigned slots.  In
-Z/2**m a series has two forms, a coefficient tuple and one packed
-integer, each made from the other on first need and kept; its
-_width(order, m)-byte slots hold (2**m - 1)**2 * (order + 1), so a
-product, sum or int multiple is one bigint op and one & with a repeated
-2**m - 1.  Such a result holds only its packed form, and a chain of them
-is unpacked once, when its coefficients are read.  A difference a - b is
-a + -b in both rings.
-
-_pack and _unpack are exact inverses over unsigned slots of values below
-2**bits, in either ring.  Up to 64 bits they make one struct call over a
-contiguous run of the values and one slice assignment per value byte
-(_reslot) between that run and the slots; past 64 bits they write and
-read each slot on its own.
+Z/2**m a series has three forms, a coefficient tuple, one packed integer
+and low_bytes(), its coefficients mod 256 as one bytes; each is made from
+another on first need and kept.  The packed integer's _width(order,
+m)-byte slots hold (2**m - 1)**2 * (order + 1), so a product, sum or int
+multiple is one bigint op and one & with a repeated 2**m - 1.  Such a
+result holds only its packed form, and a chain of them is unpacked once,
+when its coefficients are read.  The low bytes are the low byte of every
+slot; in a ring of at most 8 bits they are the values themselves, so
+there a quotient holds only them, and its tuple and packed integer are
+made from them.  A difference a - b is a + -b in both rings.
 
 Division a / d, with inversion as 1 / d, has one recurrence, _recur: per
 quotient coefficient, one sum in C for each distinct value of d.  In Z
-the coefficients grow without bound, no fixed slot width holds them, and
-_recur is the whole division.  In Z/2**m it only inverts d to the block
-order B = _block(order, m); each block of B quotient coefficients is
-then one multiply by that inverse, once the terms of d are summed over
-the finished blocks as shifts of packed pairs of blocks.  All series are
-immutable.
-
-The public constructor reduces its coefficients into the ring.  Results
-whose values are already in it (quotients, reindexings) are stored by
-TruncatedSeries._reduced, which does not mask them again.
+it is the whole division; in Z/2**m it only inverts d to the block order
+B = _block(order, m), and each block of B quotient coefficients is one
+multiply by that inverse (see __truediv__).  All series are immutable;
+the public constructor alone reduces its coefficients into the ring.
 """
 
 from __future__ import annotations
@@ -219,7 +210,7 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
 class TruncatedSeries:
     """Power series known exactly up to q^order."""
 
-    __slots__ = ("ring", "order", "_coeffs", "_word")
+    __slots__ = ("ring", "order", "_coeffs", "_word", "_low")
 
     def __init__(self, ring: CoeffRing, coeffs: Iterable[int]):
         # the one place coefficients from outside are reduced into the ring;
@@ -228,7 +219,7 @@ class TruncatedSeries:
         coeffs = tuple(coeffs) if m is None else tuple(map(m.__and__, coeffs))
         if not coeffs:
             raise ValueError("a series needs at least the q^0 coefficient")
-        self._set(ring, len(coeffs) - 1, coeffs, None)
+        self._set(ring, len(coeffs) - 1, coeffs, None, None)
 
     def _set(self, *values) -> "TruncatedSeries":
         for name, value in zip(self.__slots__, values):
@@ -248,7 +239,12 @@ class TruncatedSeries:
     def _reduced(cls, ring: CoeffRing, coeffs: Iterable[int]) -> "TruncatedSeries":
         """A series of coefficients already in ring, stored without masking."""
         coeffs = tuple(coeffs)
-        return object.__new__(cls)._set(ring, len(coeffs) - 1, coeffs, None)
+        return object.__new__(cls)._set(ring, len(coeffs) - 1, coeffs, None, None)
+
+    @classmethod
+    def _from_bytes(cls, ring: CoeffRing, low) -> "TruncatedSeries":
+        """A series of Z/2**m, m <= 8, whose coefficients are the bytes low."""
+        return object.__new__(cls)._set(ring, len(low) - 1, None, None, bytes(low))
 
     @classmethod
     def zero(cls, ring: CoeffRing, order: int) -> "TruncatedSeries":
@@ -256,7 +252,9 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, ring: CoeffRing, order: int) -> "TruncatedSeries":
-        return cls._reduced(ring, [1] + [0] * order)
+        if ring.is_exact:
+            return cls._reduced(ring, [1] + [0] * order)
+        return object.__new__(cls)._set(ring, order, None, 1, None)  # packed: slot 0 holds 1
 
     @classmethod
     def monomial(cls, ring: CoeffRing, order: int, exponent: int,
@@ -267,30 +265,49 @@ class TruncatedSeries:
         c[exponent] = coeff
         return cls(ring, c)
 
-    # -- the two forms -------------------------------------------------
+    # -- the three forms -----------------------------------------------
 
     @property
     def coeffs(self) -> tuple:
-        if self._coeffs is None:
-            sb = _width(self.order, self.ring.bits)
+        bits = self.ring.bits
+        if self._coeffs is None and bits <= 8:
+            object.__setattr__(self, "_coeffs", tuple(self.low_bytes()))
+        elif self._coeffs is None:
+            sb = _width(self.order, bits)
             data = self._word.to_bytes((self.order + 1) * sb, "little")
-            object.__setattr__(self, "_coeffs", _unpack(data, sb, self.ring.bits))
+            object.__setattr__(self, "_coeffs", _unpack(data, sb, bits))
         return self._coeffs
 
+    def low_bytes(self) -> bytes:
+        """The coefficients mod 256 as one bytes: from the packed form, the
+        low byte of every slot; in a ring of at most 8 bits, the values."""
+        if self._low is None and self._word is not None:
+            sb = _width(self.order, self.ring.bits)
+            low = self._word.to_bytes((self.order + 1) * sb, "little")[::sb]
+            object.__setattr__(self, "_low", low)
+        elif self._low is None:
+            c = self._coeffs
+            low = bytes(c) if (self.ring.mask or 256) < 256 else bytes(map((255).__and__, c))
+            object.__setattr__(self, "_low", low)
+        return self._low
+
     def _packed(self, order: int) -> int:
-        """This Z/2**m series to q^order <= self.order in _width(order, m)-byte slots."""
+        """This Z/2**m series to q^order <= self.order in _width(order, m)-byte
+        slots, kept at full order; cut short, repacked at the shorter width."""
         bits = self.ring.bits
         sb = _width(order, bits)
-        if order < self.order:  # cut short: repacked at the shorter order's width
-            return _pack(self.coeffs[:order + 1], sb, bits)
-        if self._word is None:
-            object.__setattr__(self, "_word", _pack(self._coeffs, sb, bits))
+        if order < self.order or self._word is None:
+            word = (int.from_bytes(_reslot(self.low_bytes()[:order + 1], 1, sb, bits), "little")
+                    if bits <= 8 else _pack(self.coeffs[:order + 1], sb, bits))
+            if order < self.order:
+                return word
+            object.__setattr__(self, "_word", word)
         return self._word
 
     def _ringed(self, order: int, word: int) -> "TruncatedSeries":
         """The series to q^order whose slots are those of word mod 2**m."""
         masks = _repeat(self.ring.mask, _width(order, self.ring.bits), order + 1)
-        return object.__new__(TruncatedSeries)._set(self.ring, order, None, word & masks)
+        return object.__new__(TruncatedSeries)._set(self.ring, order, None, word & masks, None)
 
     # -- inspection ----------------------------------------------------
 
@@ -391,7 +408,8 @@ class TruncatedSeries:
         so c_blk = P * (a_blk - r_blk) mod q^(e-b), and r reads only
         finished blocks.  They are kept as packed integers of wb-byte
         (w-bit) slots, in pairs: pairs[k] holds blocks k - 1 and k, 2B
-        slots, with block -1 all zeros.  -r_blk is summed per distinct
+        slots, with block -1 all zeros; a is packed once in such slots,
+        and a_blk is a slice of its bytes.  -r_blk is summed per distinct
         value of d, as u = -d(i) mod 2**m taken in [-2**(m-1), 2**(m-1)):
         each term i adds the window of c from q^(b-i),
         pairs[p // B] >> w * (p % B) with p = b - i + B.  Its e - b low
@@ -405,10 +423,10 @@ class TruncatedSeries:
         2**m - 1 reduces them all and drops the garbage.  One multiply by
         P, packed in wp-byte slots, solves the block x, and one more &
         reduces its slots; x completes the last pair and starts the next.
-        The blocks are unpacked once at the end, from the high halves.  A
-        short last block is solved at full width: its slots past q^order
-        keep within the same bounds, carry into nothing below and are
-        dropped there.
+        The blocks are read once at the end, from the high halves, as the
+        low byte of each slot in a ring of at most 8 bits.  A short last
+        block is solved at full width: its slots past q^order keep within
+        the same bounds, carry into nothing below and are dropped there.
 
         A wb-byte slot holds at most 2**m - 1 + K + (2**m - 1) * (the sum
         of u > 0 over the terms), and a product slot B products below
@@ -441,13 +459,14 @@ class TruncatedSeries:
         wb = ((mask + bias + up * mask).bit_length() + 7) // 8
         wp = _width(block - 1, bits)
         inv = _pack(_recur([1] + [0] * (block - 1), d, block, inv0, mask), wp, bits)
+        sa = _width(order, bits)
+        a = _reslot(self._packed(order).to_bytes(n * sa, "little"), sa, wb, bits)
         w = 8 * wb
         top = w * block
         biases = _repeat(bias, wb, block)
         masks, maskp = _repeat(mask, wb, block), _repeat(mask, wp, block)
         pairs = [0]  # blocks -1 and 0, until block 0 is finished
         terms = {}  # u -> ([pair from the end], [shift]) of the terms with -d(i) = u
-        a = self.coeffs
         for b in range(0, n, block):
             for i in lags[bisect_left(lags, b):bisect_left(lags, b + block)]:
                 ks, shs = terms.setdefault(signed[d[i]], ([], []))
@@ -456,18 +475,17 @@ class TruncatedSeries:
             r = biases
             for u, (ks, shs) in terms.items():
                 r += u * sum(map(rshift, map(pairs.__getitem__, ks), shs))
-            s = (_pack(a[b:b + block], wb, bits) + r) & masks
+            s = (int.from_bytes(a[b * wb:(b + block) * wb], "little") + r) & masks
             s = _reslot(s.to_bytes(block * wb, "little"), wb, wp, bits)
             x = inv * int.from_bytes(s, "little") & maskp
             x = int.from_bytes(_reslot(x.to_bytes(block * wp, "little"), wp, wb, bits), "little")
             pairs[-1] += x << top
             pairs.append(x)
-        data = bytearray()
-        for p in pairs[:-1]:
-            data += (p >> top).to_bytes(block * wb, "little")
+        data = b"".join([(p >> top).to_bytes(block * wb, "little") for p in pairs[:-1]])
         pairs.clear()  # two copies of the quotient; free them before its tuple
-        return TruncatedSeries._reduced(
-            self.ring, _unpack(memoryview(data)[:n * wb], wb, bits))
+        if bits <= 8:  # the low byte of each slot is its value
+            return TruncatedSeries._from_bytes(self.ring, data[:n * wb:wb])
+        return TruncatedSeries._reduced(self.ring, _unpack(data[:n * wb], wb, bits))
 
     def invert(self) -> "TruncatedSeries":
         """Multiplicative inverse to the same order: one / self."""

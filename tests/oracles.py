@@ -5,6 +5,7 @@ a cross-check for the packed-integer convolution and the inversion
 recurrence.  Nothing in this module imports from overpart.
 """
 
+from itertools import compress, islice
 from math import isqrt
 from operator import add, sub
 from typing import NamedTuple
@@ -188,14 +189,35 @@ def tier_points(modulus, limit):
     return [n for n in range(1, limit + 1) if keep(n)]
 
 
-def tier_walk(co, modulus, limit):
-    """pbar(4n) == (-1)^n pbar(n) (mod modulus), with no sign at mod 4, at
-    every tier_points(modulus, limit), from a list of differences."""
+def tier_differences(co, modulus, limit):
+    """pbar(4n) - (-1)^n pbar(n) for n = 0..limit, with no sign at mod 4."""
     values = list(map(sub, co[:4 * limit + 1:4], co[:limit + 1]))
     if modulus > 4:
         values[1::2] = map(add, co[4:4 * limit + 1:8], co[1:limit + 1:2])
+    return values
+
+
+def tier_walk(co, modulus, limit):
+    """pbar(4n) == (-1)^n pbar(n) (mod modulus), with no sign at mod 4, at
+    every tier_points(modulus, limit), from a list of differences."""
+    values = tier_differences(co, modulus, limit)
     ns = tier_points(modulus, limit)
     return residue_walk(ns, [values[n] for n in ns], modulus)
+
+
+def compress_verdict(values, keep, modulus):
+    """The verdict on the points n with keep[n] set, the way the verifiers
+    once took it: the residues of the kept points picked out of one bytes
+    by itertools.compress, the first nonzero one found by lstrip, and the
+    points, a compress iterator, read only to name the witness.  Returns
+    (status, witness, checks) as residue_walk does."""
+    res = bytes(compress([v & (modulus - 1) for v in values], keep))
+    rest = res.lstrip(b"\0")
+    if not rest:
+        return ("Verified" if res else "Skipped"), None, len(res)
+    k = len(res) - len(rest)
+    n = next(islice(compress(range(len(keep)), keep), k, None))
+    return "Counterexample", (n, res[k]), k + 1
 
 
 def dissection_walk(co, rhs, limit):

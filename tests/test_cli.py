@@ -658,6 +658,22 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     assert "RuntimeError: boom" in err and "internal error" in err
 
 
+@pytest.mark.parametrize("argv", [("verify", "all", "--limit", "10"),
+                                  ("gen", "--limit", "10", "--mod", "16"),
+                                  ("scan", "--limit", "100")])
+def test_out_of_memory_exits_two(capsys, monkeypatch, argv):
+    # a window too large for memory is a usage error, not a bug: no
+    # traceback; the MemoryError is raised by a stand-in, never by a real
+    # allocation
+    def too_large(order, ring, source="invert"):
+        raise MemoryError()
+
+    monkeypatch.setattr(overpartitions, "generating_series", too_large)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: out of memory; try a smaller --limit\n"
+
+
 # -- JSON ------------------------------------------------------------------------
 
 # every kind of JSON document the CLI writes: name -> (exit code, argv)

@@ -192,23 +192,23 @@ def test_report_counts_the_points_it_checked(pbar_mod32_20k):
 
 @pytest.mark.parametrize("modulus", [2, 16, 256, 512, 2**64])
 def test_verdict_reads_its_points_as_an_iterator(modulus):
-    # _verdict takes the residues _residues makes of the values: up to 256
-    # one bytes, past it a list, so a residue of 256 or 2^63 still comes
-    # back whole; the points arrive as a one-pass iterator and are read
-    # only for the witness
+    # _verdict takes the residues _residues makes of a slice of a series:
+    # up to 256 one bytes, past it a list, so a residue of 256 or 2^63
+    # still comes back whole; its points are their places n = 0, 1, ...
     big = modulus // 2
-    for values, want in [([0, 0, 0], None), ([big, 0, 0], (10, big)),
-                         ([0, modulus, 3 * modulus + big], (12, big)),
-                         ([modulus + 1, 0], (10, 1)),
-                         ([-modulus, -big], (11, big))]:
-        ns = iter(range(10, 10 + len(values)))
-        res = congruence._residues(values, EXACT, modulus)
+    for values, want in [([0, 0, 0], None), ([big, 0, 0], (0, big)),
+                         ([0, modulus, 3 * modulus + big], (2, big)),
+                         ([modulus + 1, 0], (0, 1)),
+                         ([-modulus, -big], (1, big))]:
+        pbar = TruncatedSeries(EXACT, [1] * 10 + values)
+        res = congruence._residues(pbar, modulus, 10, None)
         assert isinstance(res, bytes) == (modulus <= 256)
-        rep = congruence._verdict("s", 99, ns, res)
+        rep = congruence._verdict("s", 99, res)
         assert rep.witness == want
         assert rep.status == (VERIFIED if want is None else COUNTEREXAMPLE)
-        assert rep.checks == (len(values) if want is None else want[0] - 9)
-    rep = congruence._verdict("s", 99, iter(()), congruence._residues([], EXACT, modulus))
+        assert rep.checks == (len(values) if want is None else want[0] + 1)
+    empty = congruence._residues(TruncatedSeries(EXACT, [1, 2]), modulus, 2, 2)
+    rep = congruence._verdict("s", 99, empty)
     assert rep.status == SKIPPED and rep.checks == 0
 
 
@@ -488,6 +488,54 @@ def test_4n_tier_counterexample_witness(pbar_mod32_20k):
     assert rep.status == COUNTEREXAMPLE and rep.witness == (9, 6)
     # the mod-32 tier drops the odd square 9, so the later n = 13 is first
     assert verify_4n_relations(bad, 32, 5000).witness == (13, 1)
+
+
+# (check, modulus, an excluded n, a kept n after it, the coefficient that
+# point reads): kim8 leaves out the square 25; the mod-32 tier the odd
+# square 81, the mod-64 tier 81 == 1 (mod 8), the mod-128 tier 81 == 1
+# (mod 4).  A tier's fault goes at pbar(4n), 4n past the window of 300,
+# where no other point of the tier reads it
+_MASKED_CHECKS = [
+    ("kim8", 8, 25, 27, lambda n: n),
+    ("4n mod 32", 32, 81, 82, lambda n: 4 * n),
+    ("4n mod 64", 64, 81, 83, lambda n: 4 * n),
+    ("4n mod 128", 128, 81, 84, lambda n: 4 * n),
+]
+
+
+@pytest.mark.parametrize("name, modulus, left_out, kept, reads", _MASKED_CHECKS,
+                         ids=[c[0] for c in _MASKED_CHECKS])
+def test_masked_verdict_matches_the_compress_oracle(name, modulus, left_out, kept, reads):
+    # a fault at a point the check leaves out changes nothing; one more at
+    # a kept point after it is the witness, with the count of the kept
+    # points up to it, as the compress-based oracle finds them
+    L = 300
+    ring = mod2_ring(7)
+    good = list(by_inversion(4 * L, ring).coeffs)
+    keep = bytearray(L + 1)
+    for n in (oracles.nonsquare_points(L) if name == "kim8"
+              else oracles.tier_points(modulus, L)):
+        keep[n] = 1
+
+    def verdicts(co):
+        # (the verifier's report, the oracle's (status, witness, checks))
+        s = TruncatedSeries(ring, co)
+        if name == "kim8":
+            return verify_mod8_nonsquare(s, L), oracles.compress_verdict(co[:L + 1], keep, 8)
+        diffs = oracles.tier_differences(co, modulus, L)
+        return (verify_4n_relations(s, modulus, L),
+                oracles.compress_verdict(diffs, keep, modulus))
+
+    clean, _ = verdicts(good)
+    assert clean.status == VERIFIED and clean.checks == sum(keep)
+    co = list(good)
+    co[reads(left_out)] += 1
+    rep, want = verdicts(co)
+    assert rep == clean and want == (VERIFIED, None, clean.checks)
+    co[reads(kept)] += 1
+    rep, want = verdicts(co)
+    assert (rep.status, rep.witness, rep.checks) == want
+    assert rep.witness == (kept, 1) and rep.checks == sum(keep[:kept + 1])
 
 
 def test_4n_tier_validation(pbar_mod32_20k):
@@ -857,7 +905,8 @@ def test_valuation_string_is_the_lowest_set_bit_capped(bits):
                   *(rng.getrandbits(bits) for _ in range(200))]
         values = [v & mask for v in values]
         old = bytes(((c | top) & -(c | top)).bit_length() - 1 for c in values)
-        assert congruence._valuations(values, mod2_ring(bits), j) == old, j
+        pbar = TruncatedSeries(mod2_ring(bits), values)
+        assert congruence._valuations(pbar, len(values) - 1, j) == old, j
 
 
 def test_scan_hit_fields(pbar_mod32_20k):

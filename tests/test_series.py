@@ -16,7 +16,8 @@ import pytest
 from overpart import (EXACT, CoeffRing, TruncatedSeries, congruence, mod2_ring,
                       overpartitions, series, theta)
 
-from oracles import is_zero, recur_grouped, schoolbook_invert, schoolbook_mul
+from oracles import (is_zero, pbar_by_recurrence, recur_grouped, schoolbook_invert,
+                     schoolbook_mul, two_adic_by_counts)
 
 M32 = mod2_ring(32)
 
@@ -823,10 +824,88 @@ def test_copy_and_pickle_round_trip():
 
 
 def test_dissection_unpacks_each_slot_once(monkeypatch):
-    # its 13 slot series and the quotient of D.invert(); every product in
-    # between stays packed
+    # in Z/2^4 each slot series is read once, as the low bytes of its
+    # packed form, and the quotient of D.invert() is born as bytes: no
+    # slot is unpacked into a tuple, and neither is the rebuilt series
     calls = []
     unpack = series._unpack
     monkeypatch.setattr(series, "_unpack", lambda *a: calls.append(a) or unpack(*a))
-    congruence.dissection_rhs_mod16(1500)
-    assert 0 < len(calls) <= 14
+    rhs = congruence.dissection_rhs_mod16(1500)
+    assert calls == [] and rhs._coeffs is None and rhs._word is None
+
+
+# -- the bytes form ------------------------------------------------------------
+
+BYTES_RINGS = [EXACT, mod2_ring(1), mod2_ring(7), mod2_ring(8), mod2_ring(9), M32,
+               mod2_ring(64)]
+
+
+def born_each_way(ring, order):
+    """(how, series, its coefficients from an oracle) for a series of ring
+    to q^order born each way: from a tuple; packed, from a product, a sum
+    and an int multiple; from a division; and from two_adic, whose ring
+    is Z/2^(depth + 1), depth >= 1."""
+    rng = random.Random(order)
+    mask = ring.mask
+    red = (lambda v: list(v)) if mask is None else (lambda v: [x & mask for x in v])
+    a, b = (rand_series(rng, ring, order, lo=-300, hi=300) for _ in range(2))
+    d = rand_series(rng, ring, order, lo=-300, hi=300, unit=True)
+    n = order + 1
+    yield "tuple", a, list(a.coeffs)
+    yield "product", a * b, schoolbook_mul(a.coeffs, b.coeffs, n, mask)
+    yield "sum", a + b, red(map(add, a.coeffs, b.coeffs))
+    yield "int multiple", a * 77, red(77 * x for x in a.coeffs)
+    yield "division", a / d, schoolbook_mul(a.coeffs, schoolbook_invert(d.coeffs, mask), n, mask)
+    yield "inversion", overpartitions.by_inversion(order, ring), red(pbar_by_recurrence(order))
+    if ring.bits is not None and ring.bits >= 2:
+        yield ("two_adic", overpartitions.two_adic(order, ring.bits - 1),
+               two_adic_by_counts(order, ring.bits - 1, mask))
+
+
+@pytest.mark.parametrize("order", [0, 1, 63, 300])
+@pytest.mark.parametrize("ring", BYTES_RINGS, ids=str)
+def test_low_bytes_are_the_coefficients_mod_256(ring, order):
+    # read before the coefficients, so each comes from the form the
+    # series was born in
+    for how, s, want in born_each_way(ring, order):
+        low = s.low_bytes()
+        assert low == bytes(c & 255 for c in want), how
+        assert isinstance(low, bytes) and s.low_bytes() is low, how
+        assert s.coeffs == tuple(want), how
+        assert TruncatedSeries(ring, want).low_bytes() == low, how
+
+
+@pytest.mark.parametrize("ring", [mod2_ring(1), mod2_ring(7), mod2_ring(8)], ids=str)
+def test_bytes_born_series_acts_as_tuple_born(ring):
+    # a quotient and a 2-adic sum in a ring of at most 8 bits hold only
+    # their bytes; coeffs, ==, hash, pickle and copy read as a tuple-born twin
+    order = 300
+    born = [overpartitions.by_inversion(order, ring), theta.psi(order, ring).invert()]
+    if ring.bits >= 2:
+        born.append(overpartitions.two_adic(order, ring.bits - 1))
+    for s in born:
+        assert s._coeffs is None and s._word is None and s._low is not None
+        t = TruncatedSeries(ring, [c & ring.mask for c in s.low_bytes()])
+        assert s == t and t == s and hash(s) == hash(t)
+        assert s != TruncatedSeries(ring, t.coeffs[:-1])
+        for back in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert back == s and back.order == order and back.ring == ring
+        assert s.coeffs == t.coeffs and type(s.coeffs) is tuple
+        assert s * 3 == t * 3 and (s * s).coeffs == (t * t).coeffs
+        for name in ("_low", "_coeffs", "_word"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+
+
+def test_verify_all_reads_no_coefficient_tuple():
+    # every check of `verify all` slices the bytes of 1 / phi(-q), born
+    # from the division's slots, and the division starts from a packed 1
+    pbar = overpartitions.by_inversion(40000, mod2_ring(7))
+    reports = congruence.run_checks(congruence.suite_checks("all"), pbar, 10000)
+    assert all(r.status == congruence.VERIFIED for r in reports)
+    assert pbar._coeffs is None and pbar._word is None
+    for order in (0, 1, 500):
+        one = TruncatedSeries.one(mod2_ring(7), order)
+        assert one._coeffs is None and one._word == 1
+        assert one.coeffs == (1,) + (0,) * order
+    assert TruncatedSeries.one(EXACT, 3).coeffs == (1, 0, 0, 0)
