@@ -14,19 +14,17 @@ Constructions:
 
 The first two are sparse divisions, by (q^2; q^2)_inf and (q; q)_inf and
 by the square-sparse phi(-q), and agree exactly at every order.  The
-truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1);
-that is its contract, so two_adic returns it in Z/2^(K+1), and
-generating_series refuses exact values or a wider ring for it.  Asked
-for a narrower ring Z/2^j, generating_series builds depth j - 1 only.
+truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1), so
+two_adic returns it in Z/2^(K+1) (see generating_series).
 
 The 2-adic sum is sum_{k=0..K} X^k with X = -2 S(-q), S(q) = q + q^4 +
 q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n).
-two_adic evaluates it by Horner's rule, T <- 1 + X T repeated K times,
-in Z/2^m on one packed integer with w-bit slots.  X has floor(sqrt(N))
-terms, +2 at odd squares and -2 at even ones, so X T is a signed sum of
-shifted copies of T: no multiply and no division.  Every slot carries a
-lift that is a multiple of 2^m and keeps it non-negative, and one `&`
-with a repeated mask then reduces all slots mod 2^m at once, m = K + 1.
+two_adic evaluates it by Horner's rule, T <- 1 + X T, in Z/2^(K+1) on one
+packed integer: K - 2 steps from the closed form T_2 = 1 + X + 4 S(q^2),
+exact since the state after k steps counts only mod 2^(k+1) and X^2 =
+4 S(-q)^2 == 4 S(q^2) (mod 8).  X has floor(sqrt(N)) terms, +2 at odd
+squares and -2 at even ones, so X T is a signed sum of shifted copies of
+T, added largest shift first so that each add costs only the copy it adds.
 
 The anchor under all three, pbar(n) recounted from the definition with
 no series code, is tests/oracles.count_by_enumeration.
@@ -63,29 +61,29 @@ def _check_depth(depth: int):
 
 
 def two_adic(order: int, depth: int) -> TruncatedSeries:
-    """Partial 2-adic expansion through the 2^depth term, 1 <= depth <= 63.
-
-    Congruent to pbar coefficientwise mod 2^(depth+1) and no further, so
-    it comes in that ring.  Built by Horner's rule in Z/2^m, m = depth + 1
-    (see the module docstring).  Coefficient n sits in slot order - n, so
-    X T reads T through right shifts by s^2 slots, each one bit short so
-    that it also doubles.  Before the mask a slot is below 2^(m+1) r,
-    r = floor(sqrt(order)), which fixes the slot width w.
+    """Partial 2-adic expansion through the 2^depth term, 1 <= depth <= 63,
+    in Z/2^m, m = depth + 1 (see the module docstring).  Coefficient n sits
+    in slot order - n; X T reads T through right shifts by s^2 slots, each
+    one bit short so that it also doubles.  The lift keeps each slot in
+    [0, 2^(m+1) r), r = floor(sqrt(order)), which fixes the slot width.
     """
     _check_depth(depth)
     m = depth + 1
     r = isqrt(order)
     sb = (m + 1 + r.bit_length() + 7) // 8
     w = 8 * sb
-    plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
-    minus = [s * s * w - 1 for s in range(2, r + 1, 2)]
+    plus = [s * s * w - 1 for s in range(1, r + 1, 2)[::-1]]
+    minus = [s * s * w - 1 for s in range(2, r + 1, 2)[::-1]]
     ones = _repeat(1, sb, order + 1)
     mask = ones * ((1 << m) - 1)
-    one = 1 << (order * w)  # the series 1: q^0 sits in the top slot
-    # the lift covers the minus terms, each below 2^(m+1), and adds the 1
-    lift = ones * (len(minus) << (m + 1)) + one
-    t = one
-    for _ in range(depth):
+    # the lift covers the minus terms, each below 2^(m+1), and adds 1 at q^0
+    lift = ones * (len(minus) << (m + 1)) + (1 << order * w)
+    t = bytearray((order + 1) * sb)  # T_2 = 1 + X + 4 S(q^2), q^0 first
+    for n, v in {0: 1, **{s * s: (-2, 2)[s & 1] for s in range(1, r + 1)},
+                 **{2 * s * s: 4 for s in range(1, isqrt(order // 2) + 1)}}.items():
+        t[n * sb:(n + 1) * sb] = (v % (1 << m)).to_bytes(sb, "big")
+    t = int.from_bytes(t, "big")
+    for _ in range(depth - 2):
         t = lift + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
     data = t.to_bytes((order + 1) * sb, "big")  # q^0 first, each slot high byte first
     if m <= 8:

@@ -19,14 +19,12 @@ from .series import _unpack
 def ck_table(kmax: int, order: int) -> tuple:
     """Rows c_k(0..order) for k = 1..kmax: rows[k - 1][n] = c_k(n).
 
-    A row is one packed integer with w-bit slots in overpartitions.two_adic's
-    reversed layout: coefficient n sits in slot order - n, so times q^(s^2)
-    is a right shift by s^2 w bits, and the tail truncates by falling off
-    the low end.  A row times S is then the sum of its floor(sqrt(order))
-    shifts, exact and unsigned.  No slot overflows: each part of a tuple
-    is at most floor(sqrt(order)), so c_k(n) <= floor(sqrt(order))^kmax,
-    and a tuple is a composition of n, so c_k(n) <= 2^(order - 1).  A
-    bound of at most 64 bits lets _unpack read a row by one struct call.
+    A row is one packed integer in overpartitions.two_adic's reversed layout:
+    times q^(s^2) is a right shift by s^2 slots, and the tail falls off.
+    Row 1, S, is written directly; each later row sums the row before's
+    floor(sqrt(order)) shifts, largest first, exact and unsigned.  No slot
+    overflows: a tuple's parts are at most r = floor(sqrt(order)) and it is
+    a composition of n, so c_k(n) <= min(r^kmax, 2^(order - 1)).
     """
     if kmax < 1 or order < 0:
         raise ValueError(f"table needs kmax >= 1 and order >= 0, got {kmax}, {order}")
@@ -34,11 +32,15 @@ def ck_table(kmax: int, order: int) -> tuple:
     bits = max(1, min(r ** kmax, 2 ** order // 2).bit_length())
     sb = (bits + 7) // 8
     w = 8 * sb
-    shifts = [s * s * w for s in range(1, r + 1)]
+    shifts = [s * s * w for s in range(r, 0, -1)]
     size = (order + 1) * sb
-    t = 1 << (order * w)  # the series 1: q^0 sits in the top slot
+    t = bytearray(size)  # row 1, S itself
+    for s in range(1, r + 1):
+        t[(order - s * s) * sb] = 1
+    t = int.from_bytes(t, "little")
     rows = []
-    for _ in range(kmax):
-        t = sum(map(t.__rshift__, shifts))
+    for k in range(kmax):
+        if k:
+            t = sum(map(t.__rshift__, shifts))
         rows.append(list(reversed(_unpack(t.to_bytes(size, "little"), sb, bits))))
     return tuple(rows)

@@ -259,6 +259,30 @@ def two_adic_by_counts(order, depth, mask=None):
     return out
 
 
+def two_adic_by_horner(order, depth):
+    """sum_{k=0..depth} X^k, X = -2 S(-q), in Z/2^(depth+1): Horner's rule
+    T <- 1 + X T from T = 1, depth times.
+
+    T is packed in one integer, coefficient n in slot order - n, and X T is
+    the signed sum of T's right shifts by the squares, smallest shift first.
+    """
+    m = depth + 1
+    r = isqrt(order)
+    sb = (m + 1 + r.bit_length() + 7) // 8
+    w = 8 * sb
+    plus = [s * s * w - 1 for s in range(1, r + 1, 2)]
+    minus = [s * s * w - 1 for s in range(2, r + 1, 2)]
+    ones = int.from_bytes((1).to_bytes(sb, "big") * (order + 1), "big")
+    mask = ones * ((1 << m) - 1)
+    one = 1 << (order * w)
+    lift = ones * (len(minus) << (m + 1)) + one
+    t = one
+    for _ in range(depth):
+        t = lift + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
+    data = t.to_bytes((order + 1) * sb, "big")
+    return [int.from_bytes(data[i:i + sb], "big") for i in range(0, len(data), sb)]
+
+
 def pbar_by_recurrence(n_max):
     """Overpartition counts from scratch: expand the defining product.
 

@@ -57,6 +57,15 @@ def test_gen_two_adic_equals_inversion_mod_16(capsys):
     assert via_2adic == via_invert
 
 
+@pytest.mark.parametrize("mod, source", (("4294967296", "2adic:31"), ("128", "2adic:6")))
+def test_gen_two_adic_equals_inversion_at_order_6000(capsys, mod, source):
+    # the order verify all --limit 1500 builds; mod 2^32 reads multi-byte slots
+    argv = ("gen", "--limit", "6000", "--mod", mod, "--source")
+    code, via_2adic, _ = run_cli(capsys, *argv, source)
+    assert code == 0
+    assert via_2adic == run_cli(capsys, *argv, "invert")[1]
+
+
 def test_gen_json_format(capsys):
     code, out, _ = run_cli(capsys, "gen", "--limit", "2", "--format", "json")
     assert code == 0

@@ -5,8 +5,9 @@ import pytest
 from overpart import (EXACT, by_inversion, by_product, generating_series,
                       mod2_ring, two_adic)
 
-from oracles import (count_by_enumeration, pbar_by_recurrence, square_predicates,
-                     two_adic_by_counts)
+from oracles import (count_by_enumeration, pbar_by_recurrence, schoolbook_mul,
+                     square_indicator, square_predicates, two_adic_by_counts,
+                     two_adic_by_horner)
 
 FIRST_VALUES = (1, 2, 4, 8, 14, 24, 40, 64, 100, 154, 232)
 
@@ -80,9 +81,27 @@ def test_two_adic_matches_sum_of_counts(order, depth):
             == tuple(two_adic_by_counts(order, depth, mask)))
 
 
+@pytest.mark.parametrize("order", (0, 1, 2, 3, 4, 7, 8, 9, 17, 18, 19, 32, 50, 300, 1001))
+def test_two_adic_matches_horner_from_one(order):
+    # two_adic starts from T_2 in closed form; the orders straddle the
+    # squares and twice-squares where that state's support changes
+    for depth in range(1, 64):
+        assert list(two_adic(order, depth).coeffs) == two_adic_by_horner(order, depth), depth
+
+
+def test_square_series_squared_is_s_of_q_squared_mod_2():
+    # the lemma under T_2: X^2 = 4 S(-q)^2 == 4 S(q^2) (mod 8)
+    s = square_indicator(2000)
+    s_of_q2 = [s[n // 2] if n % 2 == 0 else 0 for n in range(2001)]
+    assert schoolbook_mul(s, s, 2001, 1) == s_of_q2
+
+
 def test_two_adic_truncation_contract():
     for depth in range(1, 8):
         assert two_adic(300, depth) == by_inversion(300, mod2_ring(depth + 1))
+    # the order verify all --limit 1500 builds; Z/2^32 has 5-byte slots
+    for depth in (6, 31):
+        assert two_adic(6000, depth) == by_inversion(6000, mod2_ring(depth + 1))
 
 
 def test_two_adic_is_not_exact():

@@ -25,6 +25,9 @@ def test_row1_is_square_indicator():
     for n in range(501):
         r = isqrt(n)
         assert row[n] == (1 if n > 0 and r * r == n else 0)
+    # row 1 is written directly: right at every order, across the squares
+    for n in range(21):
+        assert ck_table(1, n)[0] == square_indicator(n), n
 
 
 def test_small_values():
