@@ -8,12 +8,16 @@ partition contributes 2^(number of distinct part sizes).  The series starts
 
 Constructions:
 
-  by_product    (-q; q)_inf / (q; q)_inf
+  by_product    (-q; q)_inf / (q; q)_inf = psi(q)^2 / (q^2; q^2)_inf^3
   by_inversion  1 / phi(-q)
   two_adic      1 + sum_{k=1..K} 2^k sum_n (-1)^(n+k) c_k(n) q^n
 
-The first two are sparse divisions, by (q^2; q^2)_inf and (q; q)_inf and
-by the square-sparse phi(-q), and agree exactly at every order.  The
+The first two are one sparse division each, by Jacobi's (q^2; q^2)_inf^3
+and by the square-sparse phi(-q), and agree exactly at every order.
+by_product's form follows from (-q; q)_inf = psi(q) / (q^2; q^2)_inf and
+Gauss's psi(q) = (q^2; q^2)_inf^2 / (q; q)_inf; its divisor is a series
+in q^2, so in Z the even and odd coefficients are two independent chains,
+carried as two lanes of one integer (see series._recur).  The
 truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1), so
 two_adic returns it in Z/2^(K+1) (see generating_series).
 
@@ -45,9 +49,9 @@ TWO_ADIC = "2adic"
 
 
 def by_product(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
-    """(-q; q)_inf / (q; q)_inf, with (-q; q)_inf = psi(q) / (q^2; q^2)_inf:
-    two sparse divisions, neither by phi(-q), so independent of by_inversion."""
-    return theta.pochhammer_negqq(order, ring) / theta.pochhammer_qq(order, ring)
+    """(-q; q)_inf / (q; q)_inf as psi(q)^2 / (q^2; q^2)_inf^3: one sparse
+    division, not by phi(-q), so independent of by_inversion."""
+    return theta.psi_squared(order, ring) / theta.qq_cubed(order, ring).substitute_power(2)
 
 
 def by_inversion(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:

@@ -21,9 +21,12 @@ there a quotient holds only them, and its tuple and packed integer are
 made from them.  A difference a - b is a + -b in both rings.
 
 Division a / d, with inversion as 1 / d, has one recurrence, _recur: per
-quotient coefficient, one sum in C for each distinct value of d.  In Z
-it is the whole division; in Z/2**m it only inverts d to the block order
-B = _block(order, m), and each block of B quotient coefficients is one
+quotient coefficient, one sum in C for each value that recurs among the
+terms of d, and one weighted sum in C for all the values that occur once.
+In Z it is the whole division, and when d is a series in q^t, t >= 2, it
+runs the t residue chains of the quotient at once, as checked lanes of
+one integer; in Z/2**m it only inverts d to the block order B =
+_block(order, m), and each block of B quotient coefficients is one
 multiply by that inverse (see __truediv__).  All series are immutable;
 the public constructor alone reduces its coefficients into the ring.
 """
@@ -34,8 +37,9 @@ import struct
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from itertools import compress
-from operator import add, itemgetter, rshift
+from itertools import chain, compress, repeat
+from math import gcd
+from operator import add, itemgetter, lshift, mul, rshift, sub
 
 
 class CoeffRing(namedtuple("CoeffRing", "bits")):
@@ -180,6 +184,27 @@ def _width(order: int, bits: int) -> int:
     return ((((1 << bits) - 1) ** 2 * (order + 1)).bit_length() + 7) // 8
 
 
+def _lanes(packed: list[int], t: int, w: int) -> list[list[int]]:
+    """The t balanced w-bit lanes of each packed value, lane r holding the
+    values x_r of sum_r x_r 2**(r*w), -2**(w-1) <= x_r < 2**(w-1), for
+    r < t - 1; the top lane keeps the rest.  The inverse of _packlanes."""
+    half = 1 << (w - 1)
+    out = []
+    for _ in range(t - 1):
+        hi = list(map(rshift, map(add, packed, repeat(half)), repeat(w)))
+        out.append(list(map(sub, packed, map(lshift, hi, repeat(w)))))
+        packed = hi
+    return out + [packed]
+
+
+def _packlanes(lanes: list[list[int]], w: int) -> list[int]:
+    """sum_r lanes[r][j] * 2**(r*w) for each j: the inverse of _lanes."""
+    packed = lanes[-1]
+    for lane in lanes[-2::-1]:
+        packed = list(map(add, lane, map(lshift, packed, repeat(w))))
+    return packed
+
+
 def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
            mask: int) -> list[int]:
     """First n coefficients of a / d, one at a time, with the terms of d
@@ -188,23 +213,77 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
         c(k) = d(0)^-1 * (a(k) - sum_v v * sum_{i in S_v, i <= k} c(k - i))
 
     where S_v holds the exponents i >= 1 with d(i) = v.  The quotient grows
-    after a sentinel 0, so at step k each c(k - i) is c[-i], a fixed index,
-    and each value is one multiply of one sum in C of itemgetter(0, -i, ...),
+    after a sentinel 0, so at step k each c(k - i) is c[-i], a fixed index.
+    A value that recurs is one multiply of one sum in C of
+    itemgetter(0, -i, ...); the values that occur once are one shared
+    sum(map(mul, weights, itemgetter(0, -i, ...)(c))).  The getters are
     rebuilt when a term joins; the 0 keeps a one-term result a tuple.
     inv0 = d(0)^-1; c(k) is reduced by & mask, -1 in Z.
+
+    In Z, when every exponent of d is a multiple of t >= 2, the t chains
+    c(t*j + r), r < t, are independent, and step j computes all of them as
+    the w-bit lanes of one integer sum_r c(t*j + r) 2**(r*w): the recurrence
+    is linear, so the packed values obey it exactly whatever w is, and w
+    only decides whether the lanes can be read back: in balanced form, a
+    lane reads back exactly while |c| < 2**(w-1).  With L1 the sum of |d(i)|
+    over the terms, step j's lanes have |c| <= |a| + L1 * M when every lane
+    before them has |c| <= M, so |a| + L1 * M < 2**(w-1) makes them exact.
+    Each step checks its lanes against M = 2**p by one add and one &: they
+    pass when every lane of c + sum_r 2**p 2**(r*w) lies in [0, 2**(p+1)).
+    When one does not, p and w widen before the next step, and the stored
+    values are read at the old width and packed at the new one in place;
+    the lanes are read once more at the end.
     """
+    lags = list(compress(range(1, n), d[1:n]))
+    counts = Counter(map(d.__getitem__, lags))
+    t = gcd(*lags) if mask == -1 and lags else 1
+    steps = -(-n // t)
+    d = d[:n:t]  # the divisor in steps of t
+    packed = t > 1
     c = [0]
-    idx = {}  # v -> [0, -i, ...] over the exponents 1 <= i <= k with d(i) = v
+    idx = {}  # v -> [0, -j, ...] over the recurring values' terms joined so far
     getters = {}  # v -> itemgetter(*idx[v])
-    for k in range(n):
-        if k and (v := d[k]):
-            idx.setdefault(v, [0]).append(-k)
-            getters[v] = itemgetter(*idx[v])
-        s = a[k]
+    weights, widx, wget = [0], [0], None  # the values that occur once
+    if packed:
+        a = list(a[:n]) + [0] * (steps * t - n)
+        chains = [a[r::t] for r in range(t)]
+        l1 = sum(map(abs, d[1:])).bit_length()
+        abits = max(map(abs, a)).bit_length()
+        p = 16
+    for j in range(steps):
+        if j and (v := d[j]):
+            if counts[v] > 1:
+                idx.setdefault(v, [0]).append(-j)
+                getters[v] = itemgetter(*idx[v])
+            else:
+                weights.append(v)
+                widx.append(-j)
+                wget = itemgetter(*widx)
+        if packed and (not j or (c[-1] + bias) & outside):
+            # |a| + L1 * 2**p < 2**(w-1); the stored lanes were read exactly
+            if j:
+                lanes = _lanes(c[1:], t, w)
+                p = max(p, max(map(abs, chain.from_iterable(lanes))).bit_length()) * 3 // 2
+            w = max(p + l1, abits) + 2
+            if j:
+                c[1:] = _packlanes(lanes, w)
+            a = _packlanes(chains, w)
+            bias = _packlanes([[1 << p]] * t, w)[0]
+            outside = ~_packlanes([[(2 << p) - 1]] * t, w)[0]
+        s = a[j]
         for v, g in getters.items():
             s -= v * sum(g(c))
+        if wget:
+            s -= sum(map(mul, weights, wget(c)))
         c.append(inv0 * s & mask)
-    return c[1:]
+    if not packed:
+        return c[1:]
+    lanes = _lanes(c[1:], t, w)
+    c.clear()  # the packed lanes; freed before the quotient is interleaved
+    out = [0] * (steps * t)
+    for r, lane in enumerate(lanes):
+        out[r::t] = lane
+    return out[:n]
 
 
 class TruncatedSeries:

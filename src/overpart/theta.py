@@ -11,16 +11,23 @@ suite pin them):
 
     (q; q)_inf  = prod_{n >= 1} (1 - q^n) = sum_{n in Z} (-1)^n q^(n(3n-1)/2)
     (-q; q)_inf = prod_{n >= 1} (1 + q^n) = psi(q) / (q^2; q^2)_inf  (Gauss)
+    (q; q)_inf^3 = sum_{n >= 0} (-1)^n (2n+1) q^(n(n+1)/2)            (Jacobi)
+    psi(q)^2    = sum_{i, j >= 0} q^(i(i+1)/2 + j(j+1)/2)
 
 Every theta series and (q; q)_inf (Euler's pentagonal theorem) is one
 bilateral sum, with O(sqrt(order)) nonzero terms; (-q; q)_inf is one sparse
 division, whose divisor has about 1/sqrt(2) as many terms below each q^k
 as (q; q)_inf.  Each sum is given by its exponent e(n), and every e(n) is
 at least n^2, so the terms to q^order all have |n| <= isqrt(order).
+(q; q)_inf^3 is Jacobi's sum, one term per triangular number, and
+psi(q)^2 counts the pairs of triangular numbers whose sum is at most
+order, each unordered pair once, about pi/4 * order of them, with no
+multiply.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 
 from .series import EXACT, CoeffRing, TruncatedSeries
@@ -71,3 +78,30 @@ def pochhammer_qq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
 def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """(-q; q)_inf = psi(q) / (q^2; q^2)_inf: partitions into distinct parts."""
     return psi(order, ring) / pochhammer_qq(order, ring).substitute_power(2)
+
+
+def _triangular(order):
+    # the triangular numbers n(n+1)/2 <= order
+    return [n * (n + 1) // 2 for n in range((isqrt(8 * order + 1) + 1) // 2)]
+
+
+def qq_cubed(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
+    """(q; q)_inf^3 = 1 - 3q + 5q^3 - 7q^6 + ... (Jacobi's identity)."""
+    m = -1 if ring.mask is None else ring.mask
+    c = [0] * (order + 1)
+    for n, x in enumerate(_triangular(order)):
+        c[x] = (-2 * n - 1 if n & 1 else 2 * n + 1) & m
+    return TruncatedSeries._reduced(ring, c)
+
+
+def psi_squared(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
+    """psi(q)^2 = 1 + 2q + q^2 + 2q^3 + 2q^4 + ...: coefficient n counts the
+    ordered pairs of triangular numbers that sum to n."""
+    tri = _triangular(order)
+    c = [0] * (order + 1)
+    for i, x in enumerate(tri[:bisect_right(tri, order // 2)]):
+        c[2 * x] += 1  # the pair (x, x); every other pair comes twice
+        for y in tri[i + 1:bisect_right(tri, order - x)]:
+            c[x + y] += 2
+    m = ring.mask
+    return TruncatedSeries._reduced(ring, c if m is None else map(m.__and__, c))

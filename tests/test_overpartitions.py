@@ -3,7 +3,7 @@
 import pytest
 
 from overpart import (EXACT, by_inversion, by_product, generating_series,
-                      mod2_ring, two_adic)
+                      mod2_ring, theta, two_adic)
 
 from oracles import (count_by_enumeration, pbar_by_recurrence, schoolbook_mul,
                      square_indicator, square_predicates, two_adic_by_counts,
@@ -41,6 +41,31 @@ def test_product_equals_inversion(pbar_mod32_20k):
     assert by_product(300, ring) == by_inversion(300, ring)
     # and at the order the congruence suites use
     assert by_product(20000, mod2_ring(32)) == pbar_mod32_20k
+
+
+def test_product_equals_its_two_division_form_and_inversion():
+    # psi^2 / (q^2; q^2)^3, one division by a series in q^2, against
+    # (-q; q) / (q; q) by two divisions and against 1 / phi(-q), at every order
+    for ring in (EXACT, mod2_ring(1), mod2_ring(8), mod2_ring(64)):
+        for order in range(201):
+            got = by_product(order, ring)
+            assert got == theta.pochhammer_negqq(order, ring) / theta.pochhammer_qq(order, ring)
+            assert got == by_inversion(order, ring), (ring, order)
+
+
+def test_product_never_reads_phi(monkeypatch):
+    # the product source stays independent of the inversion source
+    want = by_inversion(500)
+
+    def refuse(*args):
+        raise AssertionError("by_product read phi")
+
+    monkeypatch.setattr(theta, "phi", refuse)
+    monkeypatch.setattr(theta, "phi_neg", refuse)
+    assert by_product(500) == want
+    assert by_product(500, mod2_ring(8)) == want.reduce_mod(8)
+    with pytest.raises(AssertionError):
+        by_inversion(10)
 
 
 def test_modular_constructions_match_exact_anchor(pbar_exact_5000):

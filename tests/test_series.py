@@ -379,13 +379,15 @@ def test_division_by_grouped_values_matches_schoolbook(ring, make):
         assert list((a / d).coeffs) == schoolbook_mul(a.coeffs, inv, n + 1, ring.mask)
 
 
-def recur_divisor(rng, ring, n, values):
-    # a unit d(0) and terms at about half the exponents 1 <= i < n, each
-    # a value drawn from values, or every term its own value when values
-    # is None; the series reduces them, so Z/2 keeps one value only
+def recur_divisor(rng, ring, n, values, t=1):
+    # a unit d(0) and terms at about half the exponents 1 <= i < n that are
+    # multiples of t, each a value drawn from values, or every term its own
+    # value when values is None; the series reduces them, so Z/2 keeps one
+    # value only
     c = [0] * max(n, 1)
     c[0] = rng.choice([1, -1]) if ring.is_exact else rng.randrange(1, 1 << 64, 2)
-    exps = sorted(rng.sample(range(1, n), (n - 1) // 2)) if n > 1 else []
+    pool = range(t, n, t)
+    exps = sorted(rng.sample(pool, len(pool) // 2))
     own = rng.sample(range(1, 10**6), len(exps))
     for j, i in enumerate(exps):
         c[i] = rng.choice([-1, 1]) * own[j] if values is None else rng.choice(values)
@@ -397,28 +399,48 @@ RECUR_RING_IDS = ["Z", "Z/2", "Z/2^8", "Z/2^64"]
 
 
 @pytest.mark.parametrize("ring", RECUR_RINGS, ids=RECUR_RING_IDS)
-def test_recur_matches_grouped_oracle(ring):
+def test_recur_matches_grouped_oracle(monkeypatch, ring):
     # _recur reads each value's terms by fixed negative indices behind a
-    # sentinel; the reference sums them in a plain loop over k - i
+    # sentinel, and in Z runs the chains of a divisor in q^t as lanes of
+    # one integer; the reference sums every term in a plain loop over k - i
     rng = random.Random(41)
     mask = -1 if ring.is_exact else ring.mask
+    reads = []  # the lane widths of each read of packed lanes
+    lanes = series._lanes
+    monkeypatch.setattr(series, "_lanes", lambda c, t, w: reads.append(w) or lanes(c, t, w))
 
     def check(a, d, n):
         inv0 = ring.invert_unit(d[0])
-        assert series._recur(a, d, n, inv0, mask) == recur_grouped(a, d, n, inv0, mask)
+        reads.clear()
+        got = series._recur(a, d, n, inv0, mask)
+        assert got == recur_grouped(a, d, n, inv0, mask)
+        return got
 
-    for values in ([3], [-1, 2], None):  # one value, two values, all distinct
-        for n in (0, 1, 2, 3, 50):
-            for _ in range(4):
-                d = recur_divisor(rng, ring, n, values)
-                a = rand_series(rng, ring, max(n - 1, 0), lo=-10**6, hi=10**6).coeffs
-                check(a, d, n)
-                check([1] + [0] * n, d, n)  # the inverse, as the Z/2^m block uses
+    # one value, two values, all distinct; divisors in q, q^2 and q^3
+    for values in ([3], [-1, 2], None):
+        for t in (1, 2, 3):
+            for n in (0, 1, 2, 3, 4, 7, 50):
+                for _ in range(4):
+                    d = recur_divisor(rng, ring, n, values, t)
+                    a = rand_series(rng, ring, max(n - 1, 0), lo=-10**6, hi=10**6).coeffs
+                    check(a, d, n)
+                    check([1] + [0] * n, d, n)  # the inverse, as the Z/2^m block uses
+    if ring.is_exact:
+        # quotients that outgrow the first lane width: it widens mid-chain,
+        # each time reading the stored lanes, and the lanes are read at the end
+        for values in ([-1, 2], None):
+            for t in (2, 3):
+                d = recur_divisor(rng, ring, 400, values, t)
+                c = check([1] + [0] * 399, d, 400)
+                assert max(map(abs, c)) > 2**64
+                assert len(reads) >= 3 and reads == sorted(reads) and reads[0] < reads[-1]
     # the package's own divisors
     order = 300
     a = rand_series(rng, ring, order, lo=-10**6, hi=10**6).coeffs
     for d in (theta.pochhammer_qq(order, ring),
               theta.pochhammer_qq(order, ring).substitute_power(2),
+              theta.qq_cubed(order, ring),
+              theta.qq_cubed(order, ring).substitute_power(2),
               theta.phi_neg(order, ring)):
         check(a, d.coeffs, order + 1)
         check([1] + [0] * order, d.coeffs, order + 1)
@@ -545,10 +567,11 @@ def test_byte_sliced_product_at_every_slot_width(bits):
 
 
 @pytest.mark.parametrize("ring", [EXACT, M32], ids=["Z", "Z/2^32"])
-@pytest.mark.parametrize("gen", [theta.phi_neg, theta.pochhammer_qq],
-                         ids=["phi_neg", "pochhammer_qq"])
+@pytest.mark.parametrize("gen", [theta.phi_neg, theta.pochhammer_qq, theta.qq_cubed],
+                         ids=["phi_neg", "pochhammer_qq", "qq_cubed"])
 def test_division_by_theta_divisors_matches_schoolbook(ring, gen):
-    # the divisors the package uses: two values each (+-2, or +-1)
+    # the divisors the package uses: two values each (+-2, or +-1), or a
+    # distinct value per term (Jacobi's cube)
     d = gen(300, ring)
     a = rand_series(random.Random(38), ring, 300, lo=-10**6, hi=10**6)
     inv = schoolbook_invert(list(d.coeffs), ring.mask)

@@ -1,15 +1,15 @@
 """Theta generators: definitions, frozen supports, and the identity suite.
 
-The five identities proved here at order 400 are re-verified at order
+The five identities checked here at order 400 are re-verified at order
 2000 by the acceptance suite; this file keeps the fast copies plus the
 definitional checks the identities rest on.
 """
 
 from overpart import EXACT, mod2_ring
 from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
-                            psi, psi1, psi2)
+                            psi, psi1, psi2, psi_squared, qq_cubed)
 
-from oracles import bilateral_walk, euler_product
+from oracles import bilateral_walk, euler_product, schoolbook_mul
 
 N = 400
 # the Pochhammer generators are checked against the dense product expansion
@@ -122,6 +122,21 @@ def test_euler_product_pentagonal_support():
     assert list(pochhammer_qq(120).coeffs) == want[:121]
 
 
+def test_qq_cubed_and_psi_squared_match_their_products():
+    # Jacobi's sum against the dense (q; q)_inf cubed by schoolbook
+    # multiplication, and psi^2 by pairs against the packed psi * psi, at
+    # every order; a series to q^order is the reference's prefix
+    top = 150
+    for ring in (EXACT, mod2_ring(1), M8, mod2_ring(64)):
+        e = euler_product(top, -1, ring.mask)
+        cube = schoolbook_mul(schoolbook_mul(e, e, top + 1, ring.mask), e, top + 1, ring.mask)
+        for order in range(top + 1):
+            assert list(qq_cubed(order, ring).coeffs) == cube[:order + 1], (ring, order)
+            assert psi_squared(order, ring) == psi(order, ring) * psi(order, ring), (ring, order)
+    assert qq_cubed(6).coeffs == (1, -3, 0, 5, 0, 0, -7)
+    assert psi_squared(6).coeffs == (1, 2, 1, 2, 2, 0, 3)
+
+
 # -- the identity suite ------------------------------------------------------
 
 def test_phi_two_dissection():
@@ -171,5 +186,6 @@ def test_psi_is_qq2_times_negqq():
 
 def test_modular_generators_match_reduced_exact():
     ring = mod2_ring(4)
-    for gen in (phi, phi_neg, psi, psi1, psi2, pochhammer_qq, pochhammer_negqq):
+    for gen in (phi, phi_neg, psi, psi1, psi2, pochhammer_qq, pochhammer_negqq,
+                qq_cubed, psi_squared):
         assert gen(80, ring) == gen(80).reduce_mod(4), gen.__name__
