@@ -62,17 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--exact", action="store_true", help="exact values (default)")
     add_source(p)
     add_format(p, "csv")
+    p.set_defaults(run=cmd_gen)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", help="one of: " + ", ".join(congruence.SUITES))
     p.add_argument("--limit", type=int, default=10_000)
     add_source(p)
     add_format(p, "json")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("ck", help="counts of n as ordered sums of k positive squares")
     p.add_argument("--k", type=int, required=True, help="largest tuple length")
     p.add_argument("--limit", type=int, required=True, help="highest n")
     add_format(p, "csv")
+    p.set_defaults(run=cmd_ck)
 
     p = sub.add_parser("dissect", help="slice pbar along t*n + r")
     p.add_argument("--t", type=int, required=True)
@@ -81,6 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, required=True)
     add_source(p)
     add_format(p, "csv")
+    p.set_defaults(run=cmd_dissect)
 
     p = sub.add_parser("scan", help="search progressions for candidate congruences")
     p.add_argument("--amax", type=int, default=16)
@@ -89,6 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=10_000)
     p.add_argument("--min-checks", type=int, default=50)
     add_format(p, "json")
+    p.set_defaults(run=cmd_scan)
 
     return parser
 
@@ -205,15 +210,6 @@ def cmd_scan(args) -> tuple[str, int]:
     return _emit_rows(args.format, ["A", "B", "M", "checks", "label"], hits), 0
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "verify": cmd_verify,
-    "ck": cmd_ck,
-    "dissect": cmd_dissect,
-    "scan": cmd_scan,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -225,7 +221,7 @@ def main(argv=None) -> int:
         if 4 * args.limit >= sys.maxsize:
             raise ValueError(f"--limit must be below {-(-sys.maxsize // 4)}, "
                              f"got {args.limit}")
-        out, code = _COMMANDS[args.command](args)
+        out, code = args.run(args)
     except (ValueError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory; try a smaller --limit'}", file=sys.stderr)
         return 2

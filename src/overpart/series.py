@@ -240,6 +240,7 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
     steps = -(-n // t)
     d = d[:n:t]  # the divisor in steps of t
     packed = t > 1
+    plain = mask == -1 and inv0 == 1  # c(k) = s: no multiply and no &
     c = [0]
     idx = {}  # v -> [0, -j, ...] over the recurring values' terms joined so far
     getters = {}  # v -> itemgetter(*idx[v])
@@ -275,7 +276,7 @@ def _recur(a: Sequence[int], d: Sequence[int], n: int, inv0: int,
             s -= v * sum(g(c))
         if wget:
             s -= sum(map(mul, weights, wget(c)))
-        c.append(inv0 * s & mask)
+        c.append(s if plain else inv0 * s & mask)
     if not packed:
         return c[1:]
     lanes = _lanes(c[1:], t, w)
@@ -419,8 +420,6 @@ class TruncatedSeries:
     # -- arithmetic ----------------------------------------------------
 
     def _common(self, other) -> int:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError(f"expected TruncatedSeries, got {type(other).__name__}")
         if self.ring != other.ring:
             raise ValueError(f"ring mismatch: {self.ring} vs {other.ring}")
         return min(self.order, other.order)

@@ -29,7 +29,7 @@ def ck_table(kmax: int, order: int) -> tuple:
     if kmax < 1 or order < 0:
         raise ValueError(f"table needs kmax >= 1 and order >= 0, got {kmax}, {order}")
     r = isqrt(order)
-    bits = max(1, min(r ** kmax, 2 ** order // 2).bit_length())
+    bits = max(1, min((r ** kmax).bit_length(), order))
     sb = (bits + 7) // 8
     w = 8 * sb
     shifts = [s * s * w for s in range(r, 0, -1)]

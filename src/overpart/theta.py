@@ -11,18 +11,18 @@ suite pin them):
 
     (q; q)_inf  = prod_{n >= 1} (1 - q^n) = sum_{n in Z} (-1)^n q^(n(3n-1)/2)
     (-q; q)_inf = prod_{n >= 1} (1 + q^n) = psi(q) / (q^2; q^2)_inf  (Gauss)
-    (q; q)_inf^3 = sum_{n >= 0} (-1)^n (2n+1) q^(n(n+1)/2)            (Jacobi)
+    (q; q)_inf^3 = sum_{n in Z} (4n+1) q^(n(2n+1))                    (Jacobi)
     psi(q)^2    = sum_{i, j >= 0} q^(i(i+1)/2 + j(j+1)/2)
 
-Every theta series and (q; q)_inf (Euler's pentagonal theorem) is one
+Every theta series, (q; q)_inf (Euler's pentagonal theorem) and
+(q; q)_inf^3 (Jacobi's identity, one term per triangular number) is one
 bilateral sum, with O(sqrt(order)) nonzero terms; (-q; q)_inf is one sparse
 division, whose divisor has about 1/sqrt(2) as many terms below each q^k
-as (q; q)_inf.  Each sum is given by its exponent e(n), and every e(n) is
-at least n^2, so the terms to q^order all have |n| <= isqrt(order).
-(q; q)_inf^3 is Jacobi's sum, one term per triangular number, and
-psi(q)^2 counts the pairs of triangular numbers whose sum is at most
-order, each unordered pair once, about pi/4 * order of them, with no
-multiply.
+as (q; q)_inf.  Each sum is given by its exponent e(n) and its coefficient
+rule, and every e(n) is at least n^2, so the terms to q^order all have
+|n| <= isqrt(order).  psi(q)^2 counts the pairs of triangular numbers
+whose sum is at most order, each unordered pair once, about pi/4 * order
+of them, with no multiply.
 """
 
 from __future__ import annotations
@@ -33,16 +33,20 @@ from math import isqrt
 from .series import EXACT, CoeffRing, TruncatedSeries
 
 
-def _bilateral(order, ring, e, signed=False):
-    # sum over n in Z of (-1)^n if signed at e(n) >= n^2, reduced as added
+def _bilateral(order, ring, e, coef=lambda n: 1):
+    # sum over n in Z of coef(n) q^e(n), e(n) >= n^2, reduced as added
     m = -1 if ring.mask is None else ring.mask
     c = [0] * (order + 1)
     k = isqrt(order)
     for n in range(-k, k + 1):
         x = e(n)
         if x <= order:
-            c[x] = c[x] + (-1 if signed and n & 1 else 1) & m
+            c[x] = c[x] + coef(n) & m
     return TruncatedSeries._reduced(ring, c)
+
+
+def _alternating(n):
+    return -1 if n & 1 else 1
 
 
 def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
@@ -52,7 +56,7 @@ def phi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
 
 def phi_neg(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """phi(-q): the sign at q^(k^2) is (-1)^k."""
-    return _bilateral(order, ring, lambda n: n * n, signed=True)
+    return _bilateral(order, ring, lambda n: n * n, _alternating)
 
 
 def psi(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
@@ -72,7 +76,7 @@ def psi2(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
 
 def pochhammer_qq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """(q; q)_inf = 1 - q - q^2 + q^5 + q^7 - ... (pentagonal exponents)."""
-    return _bilateral(order, ring, lambda n: n * (3 * n - 1) // 2, signed=True)
+    return _bilateral(order, ring, lambda n: n * (3 * n - 1) // 2, _alternating)
 
 
 def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
@@ -80,28 +84,19 @@ def pochhammer_negqq(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     return psi(order, ring) / pochhammer_qq(order, ring).substitute_power(2)
 
 
-def _triangular(order):
-    # the triangular numbers n(n+1)/2 <= order
-    return [n * (n + 1) // 2 for n in range((isqrt(8 * order + 1) + 1) // 2)]
-
-
 def qq_cubed(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """(q; q)_inf^3 = 1 - 3q + 5q^3 - 7q^6 + ... (Jacobi's identity)."""
-    m = -1 if ring.mask is None else ring.mask
-    c = [0] * (order + 1)
-    for n, x in enumerate(_triangular(order)):
-        c[x] = (-2 * n - 1 if n & 1 else 2 * n + 1) & m
-    return TruncatedSeries._reduced(ring, c)
+    return _bilateral(order, ring, lambda n: n * (2 * n + 1), lambda n: 4 * n + 1)
 
 
 def psi_squared(order: int, ring: CoeffRing = EXACT) -> TruncatedSeries:
     """psi(q)^2 = 1 + 2q + q^2 + 2q^3 + 2q^4 + ...: coefficient n counts the
     ordered pairs of triangular numbers that sum to n."""
-    tri = _triangular(order)
+    # the triangular numbers up to order
+    tri = [n * (n + 1) // 2 for n in range((isqrt(8 * order + 1) + 1) // 2)]
     c = [0] * (order + 1)
     for i, x in enumerate(tri[:bisect_right(tri, order // 2)]):
         c[2 * x] += 1  # the pair (x, x); every other pair comes twice
         for y in tri[i + 1:bisect_right(tri, order - x)]:
             c[x + y] += 2
-    m = ring.mask
-    return TruncatedSeries._reduced(ring, c if m is None else map(m.__and__, c))
+    return TruncatedSeries(ring, c)

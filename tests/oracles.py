@@ -91,6 +91,19 @@ def euler_product(n_max, sign, mask=None):
     return c
 
 
+def jacobi_cube(order, mask=None):
+    """(q; q)_inf^3 to q^order by Jacobi's one-sided sum,
+    sum_{n >= 0} (-1)^n (2n+1) q^(n(n+1)/2): one term per triangular
+    number, each coefficient & mask."""
+    m = -1 if mask is None else mask
+    c = [0] * (order + 1)
+    n = 0
+    while n * (n + 1) // 2 <= order:
+        c[n * (n + 1) // 2] = (-2 * n - 1 if n & 1 else 2 * n + 1) & m
+        n += 1
+    return c
+
+
 def bilateral_walk(order, up, down, signed=False, mask=None):
     """sum over n in Z of (-1)^n if signed at q^e(n), to q^order, with
     e(k) = up(k) and e(-k) = down(k) for k >= 0.

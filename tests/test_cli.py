@@ -661,7 +661,7 @@ def test_internal_error_exits_three(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "gen", broken)
+    monkeypatch.setattr(cli, "cmd_gen", broken)
     code, out, err = run_cli(capsys, "gen", "--limit", "3")
     assert code == 3 and out == ""
     assert "RuntimeError: boom" in err and "internal error" in err

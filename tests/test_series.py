@@ -151,7 +151,13 @@ def test_binary_ops_reject_foreign_types():
     with pytest.raises(TypeError):
         a + 3
     with pytest.raises(TypeError):
+        a - 3
+    with pytest.raises(TypeError):
+        a * "x"
+    with pytest.raises(TypeError):
         a / 3
+    with pytest.raises(TypeError):
+        3 / a
 
 
 def test_scalar_multiplication():

@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, the CLI's
-start-up imports none of the heavy modules it has no use for, and the
-test oracles import nothing from the package."""
+start-up imports none of the heavy modules it has no use for, the test
+oracles import nothing from the package, and the package reads every
+name it imports and every function and class it defines."""
 
 import ast
 import subprocess
@@ -71,3 +72,26 @@ def test_package_modules_read_every_name_they_import():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [(path.name, name) for name in imported - read]
     assert sorted(set(unread) - UNREAD_IMPORTS_ALLOWED) == []
+
+
+# perfbench's tracer wraps theta.pochhammer_negqq, which no package code
+# calls since the product source divides psi(q)^2 by (q^2; q^2)_inf^3
+UNREAD_DEFINITIONS_ALLOWED = {("theta.py", "pochhammer_negqq")}
+
+
+def test_package_reads_every_function_and_class_it_defines():
+    # a definition is read when its name is loaded, or an attribute of
+    # that name is, anywhere in the package
+    defined, read = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined += [(path.name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined, f"no definitions under {PACKAGE}"
+    unread = [(module, name) for module, name in defined if name not in read]
+    assert sorted(set(unread) - UNREAD_DEFINITIONS_ALLOWED) == []

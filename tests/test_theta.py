@@ -9,7 +9,7 @@ from overpart import EXACT, mod2_ring
 from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
                             psi, psi1, psi2, psi_squared, qq_cubed)
 
-from oracles import bilateral_walk, euler_product, schoolbook_mul
+from oracles import bilateral_walk, euler_product, jacobi_cube, schoolbook_mul
 
 N = 400
 # the Pochhammer generators are checked against the dense product expansion
@@ -135,6 +135,16 @@ def test_qq_cubed_and_psi_squared_match_their_products():
             assert psi_squared(order, ring) == psi(order, ring) * psi(order, ring), (ring, order)
     assert qq_cubed(6).coeffs == (1, -3, 0, 5, 0, 0, -7)
     assert psi_squared(6).coeffs == (1, 2, 1, 2, 2, 0, 3)
+
+
+def test_qq_cubed_matches_jacobis_one_sided_sum():
+    # the bilateral sum over n(2n+1) with coefficients 4n+1 against the
+    # one-sided sum over the triangular numbers, at every order to 300
+    # and at 2*10^4
+    for ring in (EXACT, mod2_ring(7), mod2_ring(64)):
+        for order in [*range(301), 20_000]:
+            assert list(qq_cubed(order, ring).coeffs) == jacobi_cube(
+                order, ring.mask), (ring, order)
 
 
 # -- the identity suite ------------------------------------------------------
