@@ -22,13 +22,24 @@ truncated 2-adic sum at depth K agrees with pbar only modulo 2^(K+1), so
 two_adic returns it in Z/2^(K+1) (see generating_series).
 
 The 2-adic sum is sum_{k=0..K} X^k with X = -2 S(-q), S(q) = q + q^4 +
-q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n).
-two_adic evaluates it by Horner's rule, T <- 1 + X T, in Z/2^(K+1) on one
-packed integer: K - 2 steps from the closed form T_2 = 1 + X + 4 S(q^2),
-exact since the state after k steps counts only mod 2^(k+1) and X^2 =
-4 S(-q)^2 == 4 S(q^2) (mod 8).  X has floor(sqrt(N)) terms, +2 at odd
-squares and -2 at even ones, so X T is a signed sum of shifted copies of
-T, added largest shift first so that each add costs only the copy it adds.
+q^9 + ..., since the q^n coefficient of X^k is 2^k (-1)^(n+k) c_k(n); mod
+2^(K+1) it is 1 / (1 - X) = 1 / phi(-q), pbar itself.  two_adic builds it
+at a quarter of the order.  phi(q) phi(-q) = phi(-q^2)^2, used twice,
+gives 1 / phi(-q) = phi(q) phi(q^2)^2 / phi(-q^4)^4, and phi's
+2-dissection, phi(q) = phi(q^4) + 2q psi(q^8), splits pbar into its
+classes mod 4: with y = q^4 and W = 1 / phi(-y)^4,
+
+    sum_n pbar(4n + r) y^n = (2 psi(y^2))^r phi(y)^(3 - r) W,  r = 0..3,
+
+the r = 0 class being Hirschhorn and Sellers' sum pbar(4n) q^n = phi(q)^3
+/ phi(-q)^4.  W = sum_k C(k+3, 3) X(y)^k, and mod 2^m, m = K + 1, its
+terms vanish past the last k with 2^k C(k+3, 3) != 0 mod 2^m (k = 4 for m
+= 7).  Horner's rule, T <- C(k+3, 3) + X T, sums them, and nine products
+by phi(y) = 1 + 2 S(y) or 2 psi(y^2) = 2 sum_{s>=0} y^(s(s+1)) give the
+four classes.  Each of these factors has one term per square or per
+psi exponent, so each step is a sum of shifted copies of one packed
+integer, signed for X, added largest shift first so that each add costs
+only the copy it adds, then one mask.
 
 The anchor under all three, pbar(n) recounted from the definition with
 no series code, is tests/oracles.count_by_enumeration.
@@ -36,7 +47,7 @@ no series code, is tests/oracles.count_by_enumeration.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import comb, isqrt
 
 from . import theta
 from .series import EXACT, CoeffRing, TruncatedSeries, _repeat, _unpack, mod2_ring
@@ -66,33 +77,56 @@ def _check_depth(depth: int):
 
 def two_adic(order: int, depth: int) -> TruncatedSeries:
     """Partial 2-adic expansion through the 2^depth term, 1 <= depth <= 63,
-    in Z/2^m, m = depth + 1 (see the module docstring).  Coefficient n sits
-    in slot order - n; X T reads T through right shifts by s^2 slots, each
-    one bit short so that it also doubles.  The lift keeps each slot in
-    [0, 2^(m+1) r), r = floor(sqrt(order)), which fixes the slot width.
+    in Z/2^m, m = depth + 1: pbar's four classes mod 4 to y^h, h = order //
+    4, interleaved (see the module docstring).
+
+    A series to y^h is one integer, coefficient n in slot h - n, so times
+    y^e is a right shift by e slots, one bit short when the factor also
+    doubles, and the tail falls off.  A lift of 2^(m+1) per subtracted
+    copy keeps W's Horner sums unsigned.  Each sum, and each product by
+    phi(y) or 2 psi(y^2), stays below 2^(m+1) (r + 1), r = floor(sqrt(h)),
+    so slots of m + 1 + bit_length(r) bits never overflow.
     """
     _check_depth(depth)
     m = depth + 1
-    r = isqrt(order)
+    ring = mod2_ring(m)
+    h = order // 4
+    r = isqrt(h)
     sb = (m + 1 + r.bit_length() + 7) // 8
     w = 8 * sb
-    plus = [s * s * w - 1 for s in range(1, r + 1, 2)[::-1]]
-    minus = [s * s * w - 1 for s in range(2, r + 1, 2)[::-1]]
-    ones = _repeat(1, sb, order + 1)
-    mask = ones * ((1 << m) - 1)
-    # the lift covers the minus terms, each below 2^(m+1), and adds 1 at q^0
-    lift = ones * (len(minus) << (m + 1)) + (1 << order * w)
-    t = bytearray((order + 1) * sb)  # T_2 = 1 + X + 4 S(q^2), q^0 first
-    for n, v in {0: 1, **{s * s: (-2, 2)[s & 1] for s in range(1, r + 1)},
-                 **{2 * s * s: 4 for s in range(1, isqrt(order // 2) + 1)}}.items():
-        t[n * sb:(n + 1) * sb] = (v % (1 << m)).to_bytes(sb, "big")
-    t = int.from_bytes(t, "big")
-    for _ in range(depth - 2):
-        t = lift + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
-    data = t.to_bytes((order + 1) * sb, "big")  # q^0 first, each slot high byte first
+    top = h * w  # the y^0 slot
+    mask = _repeat(ring.mask, sb, h + 1)
+    squares = [s * s * w - 1 for s in range(r, 0, -1)]
+    plus, minus = squares[1 - r % 2::2], squares[r % 2::2]  # X: +2 at odd s, -2 at even s
+    lift = _repeat(len(minus) << (m + 1), sb, h + 1)
+    pronic = [s * (s + 1) * w - 1 for s in range(r, 0, -1) if s * (s + 1) <= h]
+    cs = [comb(k + 3, 3) & ring.mask for k in range(m)]
+    while not cs[-1] << len(cs) - 1 & ring.mask:  # W's terms past K are 0 mod 2^m
+        cs.pop()
+    t = cs.pop() << top
+    for c in reversed(cs):
+        t = lift + (c << top) + sum(map(t.__rshift__, plus)) - sum(map(t.__rshift__, minus)) & mask
+
+    def times_phi(t):  # phi(y) = 1 + 2 S(y)
+        return t + sum(map(t.__rshift__, squares)) & mask
+
+    def times_psi(t):  # 2 psi(y^2) = 2 sum_{s >= 0} y^(s(s+1))
+        return sum(map(t.__rshift__, pronic)) + (t << 1) & mask
+
+    phi_w = times_phi(t)
+    phi2_w = times_phi(phi_w)
+    classes = (times_phi(phi2_w), times_psi(phi2_w), times_psi(times_psi(phi_w)),
+               times_psi(times_psi(times_psi(t))))
+    size = (h + 1) * sb
     if m <= 8:
-        return TruncatedSeries._from_bytes(mod2_ring(m), data[sb - 1::sb])
-    return TruncatedSeries._reduced(mod2_ring(m), _unpack(data[::-1], sb, m)[::-1])
+        low = bytearray(4 * (h + 1))
+        for i, a in enumerate(classes):  # y^0 first, each slot high byte first
+            low[i::4] = a.to_bytes(size, "big")[sb - 1::sb]
+        return TruncatedSeries._from_bytes(ring, low[:order + 1])
+    vals = [0] * (4 * (h + 1))
+    for i, a in enumerate(classes):  # y^h first, each slot low byte first
+        vals[i::4] = _unpack(a.to_bytes(size, "little"), sb, m)[::-1]
+    return TruncatedSeries._reduced(ring, vals[:order + 1])
 
 
 def generating_series(order: int, ring: CoeffRing,

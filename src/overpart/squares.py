@@ -19,8 +19,9 @@ from .series import _unpack
 def ck_table(kmax: int, order: int) -> tuple:
     """Rows c_k(0..order) for k = 1..kmax: rows[k - 1][n] = c_k(n).
 
-    A row is one packed integer in overpartitions.two_adic's reversed layout:
-    times q^(s^2) is a right shift by s^2 slots, and the tail falls off.
+    A row is one packed integer in the reversed layout of
+    overpartitions.two_adic's series in q^4, coefficient n in slot order -
+    n: times q^(s^2) is a right shift by s^2 slots, and the tail falls off.
     Row 1, S, is written directly; each later row sums the row before's
     floor(sqrt(order)) shifts, largest first, exact and unsigned.  No slot
     overflows: a tuple's parts are at most r = floor(sqrt(order)) and it is

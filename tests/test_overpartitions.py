@@ -2,8 +2,8 @@
 
 import pytest
 
-from overpart import (EXACT, by_inversion, by_product, generating_series,
-                      mod2_ring, theta, two_adic)
+from overpart import (EXACT, TruncatedSeries, by_inversion, by_product,
+                      generating_series, mod2_ring, theta, two_adic)
 
 from oracles import (count_by_enumeration, pbar_by_recurrence, schoolbook_mul,
                      square_indicator, square_predicates, two_adic_by_counts,
@@ -96,26 +96,48 @@ def test_two_adic_depth_one_values():
     assert s.coeffs == (1, 2, 0, 0, 2, 0, 0, 0, 0, 2, 0)
 
 
-@pytest.mark.parametrize("order", (0, 1, 3, 4, 8, 9, 15, 16, 17, 300, 1001))
+# two_adic works at h = order // 4: every order to 67, and 4s^2 - 1 ..
+# 4s^2 + 4 and 4s(s+1) - 1 .. 4s(s+1) + 4 for s = 3 (36, 48) and s = 10
+# (400, 440), where h gains a square, and floor(sqrt(h)) with it the slot
+# width, or a psi(y^2) exponent
+TWO_ADIC_ORDERS = (*range(68), *range(399, 405), *range(439, 445), 300, 1001)
+
+
+@pytest.mark.parametrize("order", TWO_ADIC_ORDERS)
 @pytest.mark.parametrize("depth", (1, 2, 3, 7, 8, 15, 16, 31, 63))
 def test_two_adic_matches_sum_of_counts(order, depth):
-    # the orders straddle the squares where floor(sqrt(order)), and with it
-    # the slot width, changes
     mask = (1 << (depth + 1)) - 1
     assert (two_adic(order, depth).coeffs
             == tuple(two_adic_by_counts(order, depth, mask)))
 
 
-@pytest.mark.parametrize("order", (0, 1, 2, 3, 4, 7, 8, 9, 17, 18, 19, 32, 50, 300, 1001))
+@pytest.mark.parametrize("order", TWO_ADIC_ORDERS)
 def test_two_adic_matches_horner_from_one(order):
-    # two_adic starts from T_2 in closed form; the orders straddle the
-    # squares and twice-squares where that state's support changes
+    # the full-order Horner sum from T = 1 against the four classes mod 4
+    # built at a quarter of the order, at every depth
     for depth in range(1, 64):
         assert list(two_adic(order, depth).coeffs) == two_adic_by_horner(order, depth), depth
 
 
+def test_two_adic_never_divides(monkeypatch):
+    # the 2adic source is shifts and adds only, so it stays independent of
+    # the division that builds the invert source
+    want = {(6000, 6): by_inversion(6000, mod2_ring(7)),
+            (300, 31): by_inversion(300, mod2_ring(32))}
+
+    def refuse(*args):
+        raise AssertionError("two_adic divided or multiplied series")
+
+    for name in ("__truediv__", "invert", "__mul__"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    for (order, depth), series in want.items():
+        assert two_adic(order, depth) == series
+    with pytest.raises(AssertionError):
+        by_inversion(10)
+
+
 def test_square_series_squared_is_s_of_q_squared_mod_2():
-    # the lemma under T_2: X^2 = 4 S(-q)^2 == 4 S(q^2) (mod 8)
+    # X^2 = 4 S(-q)^2 == 4 S(q^2) (mod 8), since S(-q)^2 == S(q^2) (mod 2)
     s = square_indicator(2000)
     s_of_q2 = [s[n // 2] if n % 2 == 0 else 0 for n in range(2001)]
     assert schoolbook_mul(s, s, 2001, 1) == s_of_q2

@@ -1,15 +1,20 @@
 """Theta generators: definitions, frozen supports, and the identity suite.
 
-The five identities checked here at order 400 are re-verified at order
-2000 by the acceptance suite; this file keeps the fast copies plus the
-definitional checks the identities rest on.
+The five series identities checked here at order 400 are re-verified at
+order 2000 by the acceptance suite; this file keeps the fast copies plus
+the definitional checks the identities rest on, and the split of pbar
+into its classes mod 4 that overpartitions.two_adic rests on, checked on
+lists by the oracles alone.
 """
+
+from math import comb, isqrt
 
 from overpart import EXACT, mod2_ring
 from overpart.theta import (phi, phi_neg, pochhammer_negqq, pochhammer_qq,
                             psi, psi1, psi2, psi_squared, qq_cubed)
 
-from oracles import bilateral_walk, euler_product, jacobi_cube, schoolbook_mul
+from oracles import (bilateral_walk, euler_product, jacobi_cube, pbar_by_recurrence,
+                     schoolbook_invert, schoolbook_mul, square_indicator)
 
 N = 400
 # the Pochhammer generators are checked against the dense product expansion
@@ -167,6 +172,44 @@ def test_phi_times_phi_neg():
 def test_psi_split_into_psi1_psi2():
     # psi(q) = psi1(q^2) + q psi2(q^2)
     assert psi(N) == sub(psi1(N), 2) + sub(psi2(N), 2).shift(1)
+
+
+def test_pbar_classes_mod_4_are_theta_products_times_w():
+    # sum_n pbar(4n + r) y^n = (2 psi(y^2))^r phi(y)^(3 - r) W, W = 1 /
+    # phi(-y)^4, from 1/phi(-q) = phi(q) phi(q^2)^2 / phi(-q^4)^4 and
+    # phi's 2-dissection; r = 0 is Hirschhorn and Sellers' phi^3 / phi(-q)^4.
+    # Lists and oracles only, in Z to y^N.  two_adic builds the classes so.
+    n = N + 1
+    pbar = pbar_by_recurrence(4 * N + 3)
+    squares = square_indicator(N)
+    s_neg = [-v if isqrt(e) % 2 else v for e, v in enumerate(squares)]  # S(-y)
+    phi_y = [1] + [2 * v for v in squares[1:]]
+    phi_neg_y = [1] + [2 * v for v in s_neg[1:]]
+    two_psi_y2 = [0] * n
+    for s in range(isqrt(N) + 1):
+        if s * (s + 1) <= N:
+            two_psi_y2[s * (s + 1)] = 2
+
+    def product(*factors):
+        out = [1] + [0] * N
+        for f in factors:
+            out = schoolbook_mul(f, out, n)
+        return out
+
+    phi_neg_4 = product(*[phi_neg_y] * 4)
+    w = schoolbook_invert(phi_neg_4)
+    assert product(w, phi_neg_4) == [1] + [0] * N
+    for r in range(4):
+        assert pbar[r::4] == product(*[two_psi_y2] * r, *[phi_y] * (3 - r), w), r
+    # W = sum_k C(k+3, 3) (-2 S(-y))^k, and mod 2^m every term k >= m is 0
+    powers = [[1] + [0] * N]
+    for _ in range(7):
+        powers.append(schoolbook_mul(s_neg, powers[-1], n))
+    for m in range(2, 9):
+        mask = (1 << m) - 1
+        series = [sum((-2) ** k * comb(k + 3, 3) * p[e] for k, p in enumerate(powers[:m]))
+                  for e in range(n)]
+        assert [v & mask for v in series] == [v & mask for v in w], m
 
 
 def test_phi_inverse_product_expansion():
