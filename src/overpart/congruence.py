@@ -286,9 +286,9 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     16n + 7, 14, 15 visible by construction.
 
     Every piece is a series in x = q^16, so each is built at order
-    order // 16 in x.  The slot series F_j(x), times the prefactor
-    A^12 / D^16, are then interleaved: coefficient k of slot j is the
-    coefficient of q^(16k + j), cut at q^order.
+    order // 16 in x, and x * F is F.shift(1).  The slot series F_j(x)
+    are interleaved: coefficient k of slot j is the coefficient of
+    q^(16k + j), cut at q^order.
     """
     ring = mod2_ring(4)
     m = order // 16
@@ -303,34 +303,34 @@ def dissection_rhs_mod16(order: int) -> TruncatedSeries:
     P1 = theta.psi1(m, ring)
     P2 = theta.psi2(m, ring)
     D = theta.phi_neg(m, ring)
-    # x needs order >= 1 to exist; below 16 the products cut it back to m = 0
-    x = TruncatedSeries.monomial(ring, max(m, 1), 1)
 
-    combo = x * P2 * P2 + P1 * P1  # q^16 psi2^2 + psi1^2, shows up four times
+    xP2 = P2.shift(1)
+    combo = xP2 * P2 + P1 * P1  # q^16 psi2^2 + psi1^2, shows up four times
     Asq = A * A
     Psq = P * P
+    AP = A * P
+    A3 = A * Asq
     slots = [
-        (0, A * Asq),
-        (1, -2 * (4 * x * Psq * P2 + 7 * Asq * P1)),
+        # A^12 / D^16 == 1 (mod 8), and every slot past 0 carries a factor
+        # 2, 4 or 8, so only slot 0 takes the prefactor, as (A^3 / D^4)^4;
+        # D is inverted before powering: phi(-x) is square-sparse, D^4 is not
+        (0, (A3 * D.invert() ** 4) ** 4 * A3),
+        (1, -2 * (4 * xP2 * Psq + 7 * Asq * P1)),
         (2, 4 * (A * combo)),
         (3, 8 * (P1 * combo)),
-        (4, 2 * (A * (4 * (W * W) + 3 * (A * P)))),
-        (5, 8 * (A * P * P1)),
+        (4, 2 * (A * (4 * (W * W) + 3 * AP))),
+        (5, 8 * (AP * P1)),
         (6, 8 * (P * combo)),
         (8, 4 * (A * Psq)),
         (9, -2 * (7 * Asq * P2 + 4 * Psq * P1)),
         (10, 8 * (A * P1 * P2)),
         (11, 8 * (P2 * combo)),
         (12, 8 * (Psq * P)),
-        (13, 8 * (A * P * P2)),
+        (13, 8 * (AP * P2)),
     ]
-    # invert D before powering: phi(-x) is square-sparse, D^16 is not.
-    # A^12 / D^16 == 1 (mod 8), and every slot past 0 carries a factor 2,
-    # 4 or 8, so only slot 0 is multiplied by it
-    prefactor = (A ** 12) * (D.invert() ** 16)
     out = bytearray(order + 1)
     for j, f in slots:
-        out[j::16] = (prefactor * f if j == 0 else f).low_bytes()[:(order - j) // 16 + 1]
+        out[j::16] = f.low_bytes()[:(order - j) // 16 + 1]
     return TruncatedSeries._from_bytes(ring, out)
 
 

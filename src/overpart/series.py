@@ -336,15 +336,6 @@ class TruncatedSeries:
             return cls._reduced(ring, [1] + [0] * order)
         return object.__new__(cls)._set(ring, order, None, 1, None)  # packed: slot 0 holds 1
 
-    @classmethod
-    def monomial(cls, ring: CoeffRing, order: int, exponent: int,
-                 coeff: int = 1) -> "TruncatedSeries":
-        if not 0 <= exponent <= order:
-            raise ValueError(f"monomial exponent {exponent} outside 0..{order}")
-        c = [0] * (order + 1)
-        c[exponent] = coeff
-        return cls(ring, c)
-
     # -- the three forms -----------------------------------------------
 
     @property
@@ -460,15 +451,10 @@ class TruncatedSeries:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError(f"series exponent must be a nonnegative int, got {e}")
-        result = TruncatedSeries.one(self.ring, self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if e < 2:
+            return self if e else TruncatedSeries.one(self.ring, self.order)
+        half = self ** (e >> 1)
+        return half * half * self if e & 1 else half * half
 
     def __truediv__(self, other):
         """Quotient self / other, truncated to the shorter order.

@@ -1,6 +1,6 @@
 import pytest
 
-from overpart import EXACT, by_inversion, generating_series, mod2_ring
+from overpart import EXACT, TruncatedSeries, by_inversion, generating_series, mod2_ring
 
 
 @pytest.fixture(scope="session")
@@ -13,3 +13,20 @@ def pbar_mod32_20k():
 def pbar_exact_5000():
     """Exact pbar to order 5000; the construction-equivalence anchor."""
     return by_inversion(5000, EXACT)
+
+
+@pytest.fixture
+def series_products(monkeypatch):
+    """A list that gains one entry per series-by-series product formed
+    while the test runs; products by an int are not counted."""
+    products = []
+    mul = TruncatedSeries.__mul__
+
+    def counting(a, b):
+        if isinstance(b, TruncatedSeries):
+            products.append(b.order)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
+    return products

@@ -581,7 +581,7 @@ def q_assembly_rhs_mod16(order):
     P2 = theta.psi2(order, ring).substitute_power(16)
     D = theta.phi_neg(order, ring).substitute_power(16)
     W = theta.psi(order, ring).substitute_power(16)
-    q16 = TruncatedSeries.monomial(ring, order, 16)
+    q16 = TruncatedSeries(ring, [0] * 16 + [1] + [0] * (order - 16))
     combo = q16 * P2 * P2 + P1 * P1
     Asq, Psq = A * A, P * P
     slots = [
@@ -616,9 +616,18 @@ def test_dissection_rhs_matches_q_assembly(order):
 
 def test_dissection_rhs_at_every_small_order():
     # below q^16 every piece is its constant term in x = q^16, and the
-    # rebuilt series is still pbar mod 16, down to order 0
-    for order in range(41):
+    # rebuilt series is still pbar mod 16, down to order 0, where x * psi2
+    # is a shift to zero; the orders cover m = order // 16 = 0..4
+    for order in range(71):
         assert dissection_rhs_mod16(order) == by_inversion(order, mod2_ring(4)), order
+
+
+@pytest.mark.parametrize("order", [0, 16, 1500, 10 ** 4])
+def test_dissection_forms_28_products(series_products, order):
+    # 22 for the slots past 0, each theta product formed once; 6 for
+    # slot 0 = (A^3 / D^4)^4 * A^3, with D^4 and the 4th power by halving
+    dissection_rhs_mod16(order)
+    assert len(series_products) == 28
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 18, 93, 625, 6250])
@@ -662,7 +671,7 @@ def test_dissection_counterexample_path():
     # pbar with 4 taken off pbar(2): the comparison with the dissection
     # mod 16 must fail there, and first there
     ring = mod2_ring(32)
-    wrong = by_inversion(64, ring) - TruncatedSeries.monomial(ring, 64, 2, 4)
+    wrong = by_inversion(64, ring) - TruncatedSeries(ring, [0, 0, 4] + [0] * 62)
     rep = verify_dissection_mod16(wrong, 64)
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness == (2, 4)

@@ -78,7 +78,6 @@ def test_construction_basics():
     assert s.coeffs == (1, 2, 3)
     assert TruncatedSeries.zero(EXACT, 3).coeffs == (0, 0, 0, 0)
     assert TruncatedSeries.one(EXACT, 2).coeffs == (1, 0, 0)
-    assert TruncatedSeries.monomial(EXACT, 4, 3, coeff=-2).coeffs == (0, 0, 0, -2, 0)
 
 
 def test_construction_normalizes_into_ring():
@@ -90,13 +89,6 @@ def test_construction_normalizes_into_ring():
 def test_empty_series_rejected():
     with pytest.raises(ValueError):
         TruncatedSeries(EXACT, [])
-
-
-def test_monomial_exponent_out_of_range():
-    with pytest.raises(ValueError):
-        TruncatedSeries.monomial(EXACT, 3, 4)
-    with pytest.raises(ValueError):
-        TruncatedSeries.monomial(EXACT, 3, -1)
 
 
 def test_coefficient_past_order_is_an_error():
@@ -267,15 +259,25 @@ def test_product_with_zero():
 
 def test_power_matches_repeated_product():
     rng = random.Random(5)
-    a = rand_series(rng, EXACT, 15)
-    acc = TruncatedSeries.one(EXACT, 15)
-    for e in range(6):
-        assert (a ** e).coeffs == acc.coeffs
-        acc = acc * a
+    for ring in (EXACT, mod2_ring(4), mod2_ring(64)):
+        a = rand_series(rng, ring, 15)
+        acc = TruncatedSeries.one(ring, 15)
+        for e in range(18):
+            assert (a ** e).coeffs == acc.coeffs, (ring, e)
+            acc = acc * a
     with pytest.raises(ValueError):
         a ** -1
     with pytest.raises(ValueError):
         a ** 1.5
+
+
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (4, 2), (12, 4), (16, 4), (17, 5)])
+def test_power_squares_by_halving(series_products, e, products):
+    # x^e = (x^(e // 2))^2 * x^(e % 2): one squaring per halving, one more
+    # product per odd exponent on the way, and never a product by one
+    a = rand_series(random.Random(e), mod2_ring(4), 30)
+    a ** e
+    assert len(series_products) == products
 
 
 # -- inversion and division ---------------------------------------------
@@ -602,7 +604,7 @@ def test_shift_is_monomial_multiplication():
     rng = random.Random(4)
     a = rand_series(rng, EXACT, 20)
     for k in (0, 1, 7, 20):
-        assert a.shift(k) == a * TruncatedSeries.monomial(EXACT, 20, k)
+        assert a.shift(k) == a * TruncatedSeries(EXACT, [0] * k + [1] + [0] * (20 - k))
     assert is_zero(a.shift(21))
     assert is_zero(a.shift(100))
     with pytest.raises(ValueError):
