@@ -15,7 +15,9 @@ bug: the traceback goes to stderr, and only this path imports
 traceback).  JSON output is one document; CSV is unquoted.  Reports do
 not know which construction built their series; verify stamps --source
 on every row.  scan checks its arguments before it builds the series and
-builds it in the ring of its largest modulus.
+builds it in the ring Z/2^j of its largest modulus, as source 2adic:j-1:
+it reads pbar mod 2^j only, so it takes the 2-adic sum at a quarter of
+the order, not the division by phi(-q).  It has no --source.
 
 The CLI alone knows how a report or a scan hit looks as JSON.  verify and
 scan write it from %-format templates that share one claim template, byte
@@ -202,7 +204,8 @@ def cmd_scan(args) -> tuple[str, int]:
     except ValueError:
         raise ValueError(f"--mods wants comma-separated integers, got {args.mods!r}")
     _, ring = congruence.scan_plan(args.amax, mods, args.limit, args.min_checks)
-    pbar = overpartitions.generating_series(args.limit, ring, overpartitions.INVERSION)
+    pbar = overpartitions.generating_series(args.limit, ring,
+                                            f"{overpartitions.TWO_ADIC}:{ring.bits - 1}")
     hits = congruence.scan_congruences(pbar, args.amax, mods, args.limit,
                                        args.min_checks)
     if args.format == "json":

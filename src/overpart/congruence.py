@@ -514,8 +514,11 @@ def scan_congruences(pbar: TruncatedSeries, amax: int, mods,
     2^v in mods, so a row costs the same however many moduli are asked
     for.  v is found by asking the slice for 0, 1, ..., j - 1 in turn,
     each a memchr: pbar(n) is odd only at n = 0 and 2 mod 4 exactly at
-    the positive squares, so most rows stop at 0 or 1.  Only the rows
-    that hold min_checks points are read.  Hits come in (A, B, M) order.
+    the positive squares, so many rows stop at 0 or 1, but not most: 66
+    of the 136 rows (49%) of the CLI's default scan, and 2996 of the 8256
+    (36%) of amax 128, moduli 4..128 and window [0, 20000], where 3304
+    rows stop at 3 and take four memchr calls.  Only the rows that hold
+    min_checks points are read.  Hits come in (A, B, M) order.
 
     Finite evidence only.  B = 0 rows include n = 0, where pbar(0) = 1
     kills the claim immediately; that is intentional (a congruence that

@@ -39,7 +39,9 @@ by phi(y) = 1 + 2 S(y) or 2 psi(y^2) = 2 sum_{s>=0} y^(s(s+1)) give the
 four classes.  Each of these factors has one term per square or per
 psi exponent, so each step is a sum of shifted copies of one packed
 integer, signed for X, added largest shift first so that each add costs
-only the copy it adds, then one mask.
+only the copy it adds, then one mask.  It needs no division, and the
+CLI's scan, which reads pbar mod 2^j only, builds its series this way, as
+"2adic:j-1" (see generating_series).
 
 The anchor under all three, pbar(n) recounted from the definition with
 no series code, is tests/oracles.count_by_enumeration.

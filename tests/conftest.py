@@ -30,3 +30,19 @@ def series_products(monkeypatch):
     monkeypatch.setattr(TruncatedSeries, "__mul__", counting)
     monkeypatch.setattr(TruncatedSeries, "__rmul__", counting)
     return products
+
+
+@pytest.fixture
+def series_divisions(monkeypatch):
+    """A list that gains one entry, the divisor's order, per series-by-series
+    division formed while the test runs; invert() is one such division."""
+    divisions = []
+    div = TruncatedSeries.__truediv__
+
+    def counting(a, b):
+        if isinstance(b, TruncatedSeries):
+            divisions.append(b.order)
+        return div(a, b)
+
+    monkeypatch.setattr(TruncatedSeries, "__truediv__", counting)
+    return divisions

@@ -541,13 +541,16 @@ def test_verify_rows_carry_source_pinned(capsys, fmt):
 
 # -- scan ------------------------------------------------------------------------
 
-def _record_rings(monkeypatch):
-    """Make generating_series record the ring of every call."""
+def _record_rings(monkeypatch, sources=None):
+    """Make generating_series record the ring of every call, and its source
+    in sources when one is given."""
     rings = []
     build = overpartitions.generating_series
 
     def recording(order, ring, source):
         rings.append(ring)
+        if sources is not None:
+            sources.append(source)
         return build(order, ring, source)
 
     monkeypatch.setattr(overpartitions, "generating_series", recording)
@@ -608,12 +611,18 @@ def test_scan_validation(capsys, monkeypatch):
     assert rings == []
 
 
-# the default scan, test_scan_labels' window (CANDIDATE hits) and a scan
-# with no hit at all
+# the default scan, test_scan_labels' window (CANDIDATE hits), a scan
+# with no hit at all, the two shallowest 2-adic depths scan builds (1 for
+# mod 4, 2 for mod 8) and one check per row on a window of six points;
+# the reference series is by_inversion, independent of scan's 2adic source
 SCAN_JSON_RUNS = {
     "default": (),
     "labels": ("--amax", "8", "--mods", "8,64", "--limit", "3000"),
     "no hits": ("--amax", "1", "--mods", "4", "--limit", "100"),
+    "depth 1": ("--mods", "4"),
+    "depth 2": ("--mods", "8,4"),
+    "one check": ("--amax", "8", "--mods", "4,8,16,32,64,128", "--limit", "5",
+                  "--min-checks", "1"),
 }
 
 
@@ -636,11 +645,16 @@ def test_scan_json_is_the_hits_json_dumps(capsys, name):
 
 @pytest.mark.parametrize("mods, bits", [("4,8,16,32,64", 6), ("8,4", 3),
                                         ("128,4", 7), ("4", 2)])
-def test_scan_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch, mods, bits):
-    rings = _record_rings(monkeypatch)
+def test_scan_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch,
+                                                     series_divisions, mods, bits):
+    # pbar mod 2^j is the 2-adic sum at depth j - 1, not a division by phi(-q)
+    sources = []
+    rings = _record_rings(monkeypatch, sources)
     code, _, _ = run_cli(capsys, "scan", "--mods", mods, "--limit", "500")
     assert code == 0
     assert rings == [mod2_ring(bits)]
+    assert sources == [f"2adic:{bits - 1}"]
+    assert series_divisions == []
 
 
 def test_verify_2adic_builds_the_ring_of_its_largest_modulus(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from overpart.congruence import (COUNTEREXAMPLE, REGRESSION_CLAIMS, SKIPPED,
                                  verify_4n_relations, verify_dissection_mod16,
                                  verify_mod8_nonsquare, verify_progression)
 from overpart.cli import main
-from overpart.overpartitions import by_inversion, by_product
+from overpart.overpartitions import by_inversion, by_product, two_adic
 
 import oracles
 from oracles import is_zero, legendre_by_squares, square_predicates
@@ -1035,3 +1035,22 @@ def test_scan_hits_are_the_verified_progressions(name, mods):
     assert keys == sorted(verified)
     assert {k: h.checks for k, h in zip(keys, hits)} == verified
     assert verified  # each grid has hits to compare
+
+
+def _scan_or_error(series, amax, mods, limit, min_checks):
+    try:
+        return scan_congruences(series, amax, mods, limit, min_checks)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("j", range(2, 8))
+def test_scan_over_two_adic_is_the_scan_over_inversion(j):
+    # the CLI scans two_adic at depth j - 1, exact mod 2^j, for moduli up to
+    # 2^j: the same hits, and the same refusals, as over 1 / phi(-q) in Z/2^j
+    mods = [1 << k for k in range(2, j + 1)]
+    for n in (0, 1, 2, 3, 7, 49, 50, 1001, 3000):
+        series, reference = two_adic(n, j - 1), by_inversion(n, mod2_ring(j))
+        for min_checks in (1, 50):
+            hits = _scan_or_error(series, 40, mods, n, min_checks)
+            assert hits == _scan_or_error(reference, 40, mods, n, min_checks)
